@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .box import Box, BoxError, is_fully_ns, marginal, b_alpha, uniform_box
+from .box import Box, BoxError, b_alpha, convex_combination, is_fully_ns, marginal, uniform_box
 from .polytope import anti_robustness
 from .ratlp import Constraint, LinearProgram, LPOutcome, solve
 from .rational import as_fraction
@@ -402,12 +402,8 @@ def full_broadcast_feasibility(instance: BroadcastInstance) -> FeasibilityVerdic
         if value:
             for member in members:
                 weights[member] = value
-    from .box import convex_combination
-
-    local = convex_combination(
-        list(weights.values()),
-        [dict(broadcast_local_vertices())[name] for name in weights],
-    )
+    lookup = dict(broadcast_local_vertices())
+    local = convex_combination(list(weights.values()), [lookup[name] for name in weights])
     if p == 1:
         admixture = uniform_box(4)
     else:

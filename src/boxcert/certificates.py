@@ -9,15 +9,21 @@ coordinate anywhere makes verification fail.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
 
-from .box import Box, convex_combination, mix, pr_box
+from .box import Box, b_alpha, convex_combination, is_fully_ns, marginal, mix, pr_box
 from .boxio import box_from_dict, box_to_dict
 from .broadcast import (
+    _CROSS_COPY,
     BroadcastInstance,
     ScanReport,
+    _eslot_orbit,
+    _evar,
+    _fixed_marginal_correlators,
+    box_from_correlators,
     full_broadcast_lp,
     projection_lp,
 )
@@ -346,8 +352,6 @@ def _verify_halfspace(data: dict, errors: list[str]) -> None:
         candidate = convex_combination(stated, boxes)
         if beta(candidate, r, s, t) < 2:
             errors.append(f"hull sample {k}: beta below 2")
-        from .box import is_fully_ns
-
         if not is_fully_ns(candidate).fully_ns:
             errors.append(f"hull sample {k}: not fully NS")
     half_rows = data["result"]["half_decompositions"]
@@ -390,20 +394,9 @@ def _verify_broadcast(data: dict, errors: list[str]) -> None:
             if entry["full"]["feasible"] != (full_outcome.status == "optimal"):
                 errors.append(f"alpha={alpha}: full verdict/status mismatch")
             if entry["full"].get("broadcast_copy"):
-                import itertools as it
-
-                from .box import b_alpha, marginal
-                from .broadcast import (
-                    _CROSS_COPY,
-                    _eslot_orbit,
-                    _evar,
-                    _fixed_marginal_correlators,
-                    box_from_correlators,
-                )
-
                 correlators = dict(_fixed_marginal_correlators(alpha))
                 for S in _CROSS_COPY:
-                    for x_s in it.product((0, 1), repeat=len(S)):
+                    for x_s in itertools.product((0, 1), repeat=len(S)):
                         correlators[(S, x_s)] = full_outcome.witness[
                             _evar(*_eslot_orbit(S, x_s))
                         ]

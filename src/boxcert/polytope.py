@@ -17,10 +17,11 @@ Everything here reduces to exact LPs over named vertex sets:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .box import Box, BoxError, Cut, convex_combination, is_fully_ns, mix, uniform_box
+from .box import Box, BoxError, Cut, convex_combination, is_fully_ns, mix, pr_box, uniform_box
 from .chsh import CHSHValue, beta, beta_table, max_beta
 from .ratlp import Constraint, LinearProgram, LPOutcome, solve
 from .sampling import (
@@ -71,27 +72,32 @@ def _local_vertex_set(box: Box, cut: Cut | None) -> tuple[tuple[str, Box], ...]:
     )
 
 
+def _weight_rows(box: Box, points: tuple[tuple[str, Box], ...]):
+    """Weight variables, cell rows and normalization row over ``points``.
+
+    Cell rows come in canonical cell order as (row name, weight
+    coefficients, box entry); a weight's coefficient is its point's entry.
+    """
+    var_of = {name: f"w:{name}" for name, _ in points}
+    cells = []
+    for k, (x, a) in enumerate(itertools.product(box.input_tuples(), box.output_tuples())):
+        coeffs = {var_of[name]: vert.probs[k] for name, vert in points if vert.probs[k]}
+        cells.append((_cell_name(a, x), coeffs, box.probs[k]))
+    normalization = Constraint(
+        {v: F(1) for v in var_of.values()}, "=", F(1), name="normalization"
+    )
+    return list(var_of.values()), cells, normalization
+
+
 def membership_lp(box: Box, points: tuple[tuple[str, Box], ...]) -> LinearProgram:
     """Feasibility LP: box = sum of weights over ``points``, weights on the simplex."""
-    var_of = {name: f"w:{name}" for name, _ in points}
-    constraints = []
-    for x in box.input_tuples():
-        for a in box.output_tuples():
-            coeffs = {}
-            for name, vert in points:
-                value = vert.prob(a, x)
-                if value:
-                    coeffs[var_of[name]] = value
-            constraints.append(
-                Constraint(coeffs, "=", box.prob(a, x), name=_cell_name(a, x))
-            )
-    constraints.append(
-        Constraint({v: F(1) for v in var_of.values()}, "=", F(1), name="normalization")
-    )
+    weights, cells, normalization = _weight_rows(box, points)
+    constraints = [Constraint(coeffs, "=", target, name=name) for name, coeffs, target in cells]
+    constraints.append(normalization)
     return LinearProgram(
-        variables=list(var_of.values()),
+        variables=weights,
         constraints=constraints,
-        lower={v: F(0) for v in var_of.values()},
+        lower={v: F(0) for v in weights},
     )
 
 
@@ -151,26 +157,17 @@ class AntiRobustnessResult:
 
 
 def anti_robustness_lp(box: Box, points: tuple[tuple[str, Box], ...]) -> LinearProgram:
-    var_of = {name: f"w:{name}" for name, _ in points}
+    weights, cells, normalization = _weight_rows(box, points)
     constraints = []
-    for x in box.input_tuples():
-        for a in box.output_tuples():
-            coeffs = {}
-            for name, vert in points:
-                value = vert.prob(a, x)
-                if value:
-                    coeffs[var_of[name]] = value
-            target = box.prob(a, x)
-            if target:
-                coeffs["q"] = -target
-            constraints.append(Constraint(coeffs, ">=", F(0), name=_cell_name(a, x)))
-    constraints.append(
-        Constraint({v: F(1) for v in var_of.values()}, "=", F(1), name="normalization")
-    )
-    lower = {v: F(0) for v in var_of.values()}
+    for name, coeffs, target in cells:
+        if target:
+            coeffs["q"] = -target
+        constraints.append(Constraint(coeffs, ">=", F(0), name=name))
+    constraints.append(normalization)
+    lower = {v: F(0) for v in weights}
     lower["q"] = F(0)
     return LinearProgram(
-        variables=["q"] + list(var_of.values()),
+        variables=["q"] + weights,
         constraints=constraints,
         objective={"q": F(1)},
         sense="max",
@@ -199,9 +196,8 @@ def anti_robustness(box: Box, cut: Cut | None = None) -> AntiRobustnessResult:
         for name, _ in points
         if outcome.witness[f"w:{name}"] != 0
     }
-    local_witness = convex_combination(
-        list(weights.values()), [dict(points)[name] for name in weights]
-    )
+    lookup = dict(points)
+    local_witness = convex_combination(list(weights.values()), [lookup[name] for name in weights])
     if q == 1:
         admixture = uniform_box(box.party_count)
     else:
@@ -238,8 +234,6 @@ class RayPoint:
 
 def ray_intersection(r: int, s: int, t: int, vertex: Box) -> RayPoint:
     """Unique point of [B_rst, vertex] on the beta_rst = 2 hyperplane."""
-    from .box import pr_box
-
     apex = pr_box(r, s, t)
     name = None
     for known, candidate in ns_vertices_2x2():
@@ -289,8 +283,6 @@ def hyperplane_locality_check(r: int, s: int, t: int) -> HyperplaneReport:
 
 def ray_points(r: int, s: int, t: int) -> tuple[tuple[str, Box], ...]:
     """Apex plus its 23 hyperplane ray points, the candidate hull of beta >= 2."""
-    from .box import pr_box
-
     apex_name = f"pr_{r}{s}{t}"
     points = [(apex_name, pr_box(r, s, t))]
     for name, vertex in ns_vertices_2x2():

@@ -1,7 +1,8 @@
 """Exact rational linear programming with verifiable certificates.
 
-Two-phase primal simplex with Bland's smallest-index rule.  All pivots
-are exact: tableau rows are integer vectors with a positive per-row
+Two-phase primal simplex: Dantzig's most-negative reduced cost enters and
+the lexicographic ratio rule picks the leaving row.  All pivots are
+exact: tableau rows are integer vectors with a positive per-row
 denominator, so no rounding can occur anywhere.  Every outcome carries a
 certificate that ``check_witness`` re-verifies by substitution alone:
 
@@ -218,7 +219,6 @@ class _Canonical:
     col_of_var: dict[str, list[int]]
     rows: list[dict[int, Fraction]]  # sparse coeffs over columns
     rhs: list[Fraction]
-    sigma: list[int]  # +1 / -1 row orientation vs. its normalized source
     relations: list[str]  # "<=" or "=" (pre-negation)
     keys: list[tuple]  # normalized-row key per canonical row
     cost: list[Fraction]  # canonical (minimization) objective per column
@@ -242,23 +242,22 @@ def _canonicalize(lp: LinearProgram) -> _Canonical:
             col_of_var[var] = [len(columns) - 2, len(columns) - 1]
 
     def substitute(coeffs: dict[str, Fraction]):
+        # coefficients are nonzero and each variable owns its columns
         row: dict[int, Fraction] = {}
         shift = Fraction(0)  # constant absorbed into the rhs
         for var, c in coeffs.items():
             cols = col_of_var[var]
-            kind = columns[cols[0]].kind
-            if kind == "shift":
-                row[cols[0]] = row.get(cols[0], Fraction(0)) + c
-                shift += c * columns[cols[0]].offset
-            elif kind == "flip":
-                row[cols[0]] = row.get(cols[0], Fraction(0)) - c
-                shift += c * columns[cols[0]].offset
-            else:
-                row[cols[0]] = row.get(cols[0], Fraction(0)) + c
-                row[cols[1]] = row.get(cols[1], Fraction(0)) - c
-        return {j: v for j, v in row.items() if v != 0}, shift
+            column = columns[cols[0]]
+            if column.kind == "pos":
+                row[cols[0]] = c
+                row[cols[1]] = -c
+                continue
+            row[cols[0]] = c if column.kind == "shift" else -c
+            if column.offset:
+                shift += c * column.offset
+        return row, shift
 
-    rows, rhs, sigma, relations, keys = [], [], [], [], []
+    rows, rhs, relations, keys = [], [], [], []
     seen: dict[tuple, int] = {}
     for norm in normalized_rows(lp):
         if norm.key[0] == "lb":
@@ -267,13 +266,18 @@ def _canonicalize(lp: LinearProgram) -> _Canonical:
             continue  # absorbed by the flip substitution
         coeffs, shift = substitute(norm.coeffs)
         adjusted = norm.rhs - shift
-        dedup_key = (tuple(sorted(coeffs.items())), norm.relation, adjusted)
+        # integer pairs, not Fractions: hashing a Fraction costs a modular inverse
+        dedup_key = (
+            tuple((j, v.numerator, v.denominator) for j, v in sorted(coeffs.items())),
+            norm.relation,
+            adjusted.numerator,
+            adjusted.denominator,
+        )
         if dedup_key in seen:
             continue
         seen[dedup_key] = len(rows)
         rows.append(coeffs)
         rhs.append(adjusted)
-        sigma.append(1)
         relations.append(norm.relation)
         keys.append(norm.key)
 
@@ -288,7 +292,7 @@ def _canonicalize(lp: LinearProgram) -> _Canonical:
                 cost[j] += c
             else:  # neg split piece
                 cost[j] += c
-    return _Canonical(columns, col_of_var, rows, rhs, sigma, relations, keys, cost)
+    return _Canonical(columns, col_of_var, rows, rhs, relations, keys, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +300,17 @@ def _canonicalize(lp: LinearProgram) -> _Canonical:
 # ---------------------------------------------------------------------------
 
 
-def _scale_row(fracs: list[Fraction]) -> tuple[list[int], int]:
+def _scale_row(entries: dict[int, Fraction], width: int) -> tuple[list[int], int]:
+    """Dense integer row over the least common denominator of sparse entries."""
     den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    return [int(f * den) for f in fracs], den
+    for f in entries.values():
+        if f:
+            den = den * f.denominator // gcd(den, f.denominator)
+    row = [0] * width
+    for j, f in entries.items():
+        if f:
+            row[j] = f.numerator * (den // f.denominator)
+    return row, den
 
 
 def _reduce_row(row: list[int], den: int) -> tuple[list[int], int]:
@@ -339,45 +349,36 @@ class _Simplex:
             self.art_of_row[i] = next_col
             next_col += 1
         self.n_cols = next_col
+        width = next_col + 1
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
         self.basis: list[int] = []
         self.active = [True] * m
-        self.sigma = list(canon.sigma)
+        self.sigma = [1] * m  # +1 / -1 row orientation vs. its canonical source
+        # phase-1 reduced costs: cost 1 on artificials, so z1 = -(sum of art
+        # rows) off the artificial columns and 0 on them
+        z1: dict[int, Fraction] = {}
         for i in range(m):
-            fracs = [Fraction(0)] * (self.n_cols + 1)
-            for j, v in canon.rows[i].items():
-                fracs[j] = v
+            entries = dict(canon.rows[i])
             if i in slack_of_row:
-                fracs[slack_of_row[i]] = Fraction(1)
-            fracs[self.n_cols] = canon.rhs[i]
+                entries[slack_of_row[i]] = 1
+            entries[next_col] = canon.rhs[i]
             if canon.rhs[i] < 0:
-                fracs = [-v for v in fracs]
-                self.sigma[i] = -self.sigma[i]
-            ints, den = _scale_row(fracs)
-            self.rows.append(ints)
+                entries = {j: -v for j, v in entries.items()}
+                self.sigma[i] = -1
+            row, den = _scale_row(entries, width)
+            self.rows.append(row)
             self.dens.append(den)
             if i in self.art_of_row:
-                self.rows[i][self.art_of_row[i]] = den  # coefficient 1
+                row[self.art_of_row[i]] = den  # coefficient 1
                 self.basis.append(self.art_of_row[i])
+                for j, v in entries.items():
+                    z1[j] = z1.get(j, 0) - v
             else:
                 self.basis.append(slack_of_row[i])
-        # phase-1 reduced costs: cost 1 on artificials, so z1 = -(sum of art rows)
-        z1 = [Fraction(0)] * (self.n_cols + 1)
-        for i in self.art_of_row:
-            den = self.dens[i]
-            row = self.rows[i]
-            for j in range(self.n_cols + 1):
-                if row[j]:
-                    z1[j] -= Fraction(row[j], den)
-        for i, col in self.art_of_row.items():
-            z1[col] += 1
-        self.z1, self.z1_den = _scale_row(z1)
+        self.z1, self.z1_den = _scale_row(z1, width)
         # phase-2 reduced costs start at the canonical cost vector
-        z2 = [Fraction(0)] * (self.n_cols + 1)
-        for j, c in enumerate(canon.cost):
-            z2[j] = c
-        self.z2, self.z2_den = _scale_row(z2)
+        self.z2, self.z2_den = _scale_row(dict(enumerate(canon.cost)), width)
         self.art_cols = set(self.art_of_row.values())
         slack_cols = set(self.slack_of_row.values())
         self._lex_order = (
@@ -593,7 +594,7 @@ def _translate_multipliers(
 
 
 def solve(lp: LinearProgram) -> LPOutcome:
-    """Exact optimum or certificate; deterministic (Bland's rule)."""
+    """Exact optimum or certificate; deterministic (lexicographic ratio rule)."""
     if not isinstance(lp, LinearProgram):
         raise MalformedLP("solve() needs a LinearProgram")
     canon = _canonicalize(lp)
@@ -642,7 +643,25 @@ def solve(lp: LinearProgram) -> LPOutcome:
 
 
 def _row_value(coeffs: dict[str, Fraction], point: dict[str, Fraction]) -> Fraction:
-    return sum((c * point.get(v, Fraction(0)) for v, c in coeffs.items()), Fraction(0))
+    return sum((c * point[v] for v, c in coeffs.items() if point[v]), Fraction(0))
+
+
+def _combination(rows: list[_NormRow], multipliers: dict[tuple, Fraction]):
+    """Sum of y * row over the multiplied rows as (coefficients, rhs).
+
+    None when a key names no row or a ``<=`` row has a negative multiplier.
+    """
+    row_map = {row.key: row for row in rows}
+    coeffs: dict[str, Fraction] = {}
+    rhs = Fraction(0)
+    for key, y in multipliers.items():
+        row = row_map.get(key)
+        if row is None or (row.relation == "<=" and y < 0):
+            return None
+        for var, c in row.coeffs.items():
+            coeffs[var] = coeffs.get(var, 0) + y * c
+        rhs += y * row.rhs
+    return coeffs, rhs
 
 
 def check_witness(lp: LinearProgram, outcome: LPOutcome) -> bool:
@@ -655,7 +674,6 @@ def check_witness(lp: LinearProgram, outcome: LPOutcome) -> bool:
     """
     try:
         rows = normalized_rows(lp)
-        obj = normalized_objective(lp)
         if outcome.status == "optimal":
             witness = outcome.witness
             if witness is None or set(witness) != set(lp.variables):
@@ -672,49 +690,28 @@ def check_witness(lp: LinearProgram, outcome: LPOutcome) -> bool:
             )
             if outcome.objective_value != expected:
                 return False
-            dual = outcome.dual
-            if dual is None:
+            if outcome.dual is None:
                 return False
-            row_map = {row.key: row for row in rows}
-            if any(key not in row_map for key in dual):
+            combined = _combination(rows, outcome.dual)
+            if combined is None:
                 return False
-            for key, y in dual.items():
-                if row_map[key].relation == "<=" and y < 0:
-                    return False
-            for var in lp.variables:
-                combined = sum(
-                    (y * row_map[key].coeffs.get(var, Fraction(0)) for key, y in dual.items()),
-                    Fraction(0),
-                )
-                if combined != obj.get(var, Fraction(0)):
-                    return False
-            dual_value = sum(
-                (y * row_map[key].rhs for key, y in dual.items()), Fraction(0)
-            )
+            coeffs, dual_value = combined
+            obj = normalized_objective(lp)
+            if any(coeffs.get(v, 0) != obj.get(v, 0) for v in lp.variables):
+                return False
             primal_value = sum(
                 (c * witness[v] for v, c in obj.items()), Fraction(0)
             )
             return dual_value == primal_value
         if outcome.status == "infeasible":
-            farkas = outcome.farkas
-            if not farkas:
+            if not outcome.farkas:
                 return False
-            row_map = {row.key: row for row in rows}
-            if any(key not in row_map for key in farkas):
+            combined = _combination(rows, outcome.farkas)
+            if combined is None:
                 return False
-            for key, y in farkas.items():
-                if row_map[key].relation == "<=" and y < 0:
-                    return False
-            for var in lp.variables:
-                combined = sum(
-                    (y * row_map[key].coeffs.get(var, Fraction(0)) for key, y in farkas.items()),
-                    Fraction(0),
-                )
-                if combined != 0:
-                    return False
-            combined_rhs = sum(
-                (y * row_map[key].rhs for key, y in farkas.items()), Fraction(0)
-            )
+            coeffs, combined_rhs = combined
+            if any(coeffs.get(v, 0) != 0 for v in lp.variables):
+                return False
             return combined_rhs < 0
         return False
     except (TypeError, ValueError, KeyError, ZeroDivisionError):

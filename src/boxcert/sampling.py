@@ -13,7 +13,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .box import Box, mix, convex_combination
+from .box import Box, convex_combination, mix, pr_box
 from .chsh import beta
 from .twirl import RelabelingMixture, RelabelingOp
 from .vertices import ns_vertices_2x2
@@ -65,8 +65,6 @@ def random_ns_box_with_min_beta(
     Mixes a random NS box toward the apex B_rst just far enough; the
     result is still a vertex mixture, so it stays inside the polytope.
     """
-    from .box import pr_box
-
     base = random_ns_box(rng, denominator)
     apex = pr_box(r, s, t)
     beta_base = beta(base, r, s, t)

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .box import Box, WrongShape, pr_box
+from .box import Box, WrongShape, mix, pr_box
 from .rational import as_fraction
 
 
@@ -169,6 +169,4 @@ def line_transport(box: Box, r: int, s: int, t: int) -> Box:
 def pr_line_point(r: int, s: int, p) -> Box:
     """The box p*B_rs0 + (1-p)*B_rs1."""
     p = as_fraction(p)
-    from .box import mix
-
     return mix(p, pr_box(r, s, 0), pr_box(r, s, 1))

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, JSON determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -170,6 +171,22 @@ class TestScan:
         assert main(["scan", "--alpha-grid", "7/8:1:1/16", "--json", str(a)]) == 0
         assert main(["scan", "--alpha-grid", "7/8:1:1/16", "--json", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestPinnedCertificates:
+    """Certificates must stay byte-identical across solver changes, not only across runs."""
+
+    def test_antirobustness_pr_box(self, pr_file, tmp_path):
+        cert_path = tmp_path / "cert.json"
+        assert main(["antirobustness", pr_file, "--json", str(cert_path)]) == 0
+        digest = hashlib.sha256(cert_path.read_bytes()).hexdigest()
+        assert digest == "c8fa61cfa7ccf9b3f6b00068d8f8cbf39d80f9bfbe74a6586af14b3c836d099e"
+
+    def test_scan_seven_eighths_to_one(self, tmp_path):
+        cert_path = tmp_path / "scan.json"
+        assert main(["scan", "--alpha-grid", "7/8:1:1/16", "--json", str(cert_path)]) == 0
+        digest = hashlib.sha256(cert_path.read_bytes()).hexdigest()
+        assert digest == "8cf62ac54185ebf950570dcd2649dd933cf7aa7c2f9ce662fb5101297ae1c37d"
 
 
 class TestVerifyCert:

@@ -295,6 +295,128 @@ class TestWitnessChecking:
         bad = type(out)(status="infeasible", farkas={("con", 0): F(1)})
         assert not check_witness(lp, bad)
 
+    def test_empty_dual_rejected_with_objective(self):
+        lp = lp_single_bound()
+        out = solve(lp)
+        assert out.dual
+        bad = type(out)(
+            status=out.status,
+            witness=out.witness,
+            objective_value=out.objective_value,
+            dual={},
+            farkas=None,
+        )
+        assert not check_witness(lp, bad)
+
+    def test_dual_leaving_a_variable_unmatched_rejected(self):
+        # y is in the objective but in no multiplied row; the dual value
+        # still equals the optimum, so only stationarity on y catches it
+        lp = LinearProgram(
+            variables=["x", "y"],
+            constraints=[Constraint({"x": 1}, "<=", 1), Constraint({"y": 1}, "<=", 0)],
+            objective={"x": 1, "y": 1},
+            sense="max",
+            lower={"x": 0, "y": 0},
+        )
+        out = solve(lp)
+        assert out.status == "optimal" and out.objective_value == 1
+        assert check_witness(lp, out)
+        bad = type(out)(
+            status=out.status,
+            witness=out.witness,
+            objective_value=out.objective_value,
+            dual={("con", 0): F(1)},
+            farkas=None,
+        )
+        assert not check_witness(lp, bad)
+
+    def test_farkas_with_dropped_key_rejected(self):
+        lp = lp_contradiction()
+        out = solve(lp)
+        assert len(out.farkas) >= 2
+        for key in out.farkas:
+            partial = {k: y for k, y in out.farkas.items() if k != key}
+            assert not check_witness(lp, type(out)(status="infeasible", farkas=partial))
+
+
+def random_bounded_lp(rng, n_vars, n_cons):
+    """Feasible bounded LP mixing shifted, flipped and free variables.
+
+    Variable j has a nonzero lower bound (``lb`` or ``lb+ub``), only an
+    upper bound, or no bound; every variable is also boxed by constraint
+    rows, so the optimum exists.  Returns the LP, its feasible point and
+    the kind of each variable.
+    """
+    xs = [f"x{j}" for j in range(n_vars)]
+    x0 = {v: F(rng.randint(-6, 6), rng.randint(1, 3)) for v in xs}
+    kinds = [("lb", "lb+ub", "ub", "free")[j % 4] for j in range(n_vars)]
+    lower, upper, constraints = {}, {}, []
+    for v, kind in zip(xs, kinds):
+        if kind in ("lb", "lb+ub"):
+            lower[v] = x0[v] - rng.randint(1, 3)
+        if kind in ("lb+ub", "ub"):
+            upper[v] = x0[v] + F(rng.randint(0, 4), 2)
+        constraints.append(Constraint({v: 1}, "<=", x0[v] + 7))
+        constraints.append(Constraint({v: 1}, ">=", x0[v] - 7))
+    for _ in range(n_cons):
+        coeffs = {v: F(rng.randint(-3, 3), rng.randint(1, 2)) for v in xs}
+        value = sum(c * x0[v] for v, c in coeffs.items())
+        relation = rng.choice(("<=", ">=", "="))
+        slack = 0 if relation == "=" else rng.randint(0, 2)
+        rhs = value + slack if relation == "<=" else value - slack
+        constraints.append(Constraint(coeffs, relation, rhs))
+    lp = LinearProgram(
+        variables=xs,
+        constraints=constraints,
+        objective={v: rng.randint(-4, 4) for v in xs},
+        sense=rng.choice(("max", "min")),
+        lower=lower,
+        upper=upper,
+    )
+    return lp, x0, kinds
+
+
+class TestBoundKinds:
+    def test_random_lps_with_shifted_flipped_and_free_variables(self):
+        import random
+
+        rng = random.Random(11)
+        for _ in range(40):
+            lp, x0, kinds = random_bounded_lp(rng, rng.randint(4, 7), rng.randint(1, 4))
+            assert any(lo != 0 for _, lo in lp.lower)
+            assert {"lb", "ub", "free"} <= set(kinds)
+            out = solve(lp)
+            assert out.status == "optimal"
+            assert check_witness(lp, out)
+            if lp.sense == "max":
+                assert out.objective_value >= sum(c * x0[v] for v, c in lp.objective)
+            else:
+                assert out.objective_value <= sum(c * x0[v] for v, c in lp.objective)
+
+    def test_contradicted_bounds_give_checked_farkas(self):
+        import random
+
+        rng = random.Random(12)
+        for _ in range(20):
+            lp, _, _ = random_bounded_lp(rng, rng.randint(4, 7), rng.randint(1, 4))
+            lo_var, lo = lp.lower[rng.randrange(len(lp.lower))]
+            hi_var, hi = lp.upper[rng.randrange(len(lp.upper))]
+            for extra in (
+                Constraint({lo_var: 1}, "<=", lo - F(1, 3)),
+                Constraint({hi_var: 1}, ">=", hi + F(1, 3)),
+            ):
+                bad = LinearProgram(
+                    variables=lp.variables,
+                    constraints=list(lp.constraints) + [extra],
+                    objective=dict(lp.objective),
+                    sense=lp.sense,
+                    lower=dict(lp.lower),
+                    upper=dict(lp.upper),
+                )
+                out = solve(bad)
+                assert out.status == "infeasible"
+                assert check_witness(bad, out)
+
 
 class TestDump:
     def test_dump_contains_rows_and_bounds(self):
