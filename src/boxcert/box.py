@@ -162,6 +162,14 @@ class Box:
         return self.input_arity == (2, 2) and self.output_arity == (2, 2)
 
 
+def require_2x2(box: Box) -> None:
+    """Raise WrongShape unless ``box`` has two parties with binary inputs and outputs."""
+    if not box.is_binary_bipartite():
+        raise WrongShape(
+            f"need a 2-party binary box, got arities {box.input_arity}/{box.output_arity}"
+        )
+
+
 def make_box(party_count, input_arity, output_arity, entries) -> Box:
     """Build and validate a box.
 

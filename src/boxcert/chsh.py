@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .box import Box, WrongShape
+from .box import Box, require_2x2
 
 
 @dataclass(frozen=True)
@@ -25,21 +25,12 @@ class CHSHValue:
     value: Fraction
 
 
-def _require_2x2(box: Box) -> None:
-    if not box.is_binary_bipartite():
-        raise WrongShape(
-            f"need a 2-party binary box, got arities {box.input_arity}/{box.output_arity}"
-        )
-
-
 def correlator(box: Box, i: int, j: int) -> Fraction:
     """<ij> = P(a=b|x=i,y=j) - P(a!=b|x=i,y=j)."""
-    _require_2x2(box)
-    value = Fraction(0)
-    for a, b in itertools.product((0, 1), repeat=2):
-        p = box.prob((a, b), (i, j))
-        value += p if a == b else -p
-    return value
+    require_2x2(box)
+    base = 8 * i + 4 * j  # cells (a,b) = 00, 01, 10, 11 of input (i,j)
+    p00, p01, p10, p11 = box.probs[base : base + 4]
+    return p00 - p01 - p10 + p11
 
 
 def beta_signs(r: int, s: int, t: int) -> dict[tuple[int, int], int]:
@@ -52,13 +43,19 @@ def beta_signs(r: int, s: int, t: int) -> dict[tuple[int, int], int]:
     }
 
 
+def _beta_from(correlators: dict[tuple[int, int], Fraction], r: int, s: int, t: int) -> Fraction:
+    signs = beta_signs(r, s, t)
+    return sum((signs[ij] * correlators[ij] for ij in signs), Fraction(0))
+
+
+def _correlators(box: Box) -> dict[tuple[int, int], Fraction]:
+    return {(i, j): correlator(box, i, j) for i, j in itertools.product((0, 1), repeat=2)}
+
+
 def beta(box: Box, r: int, s: int, t: int) -> Fraction:
     """The CHSH quantity beta_rst of a 2x2 box."""
-    _require_2x2(box)
-    signs = beta_signs(r, s, t)
-    return sum(
-        (signs[(i, j)] * correlator(box, i, j) for i, j in signs), Fraction(0)
-    )
+    require_2x2(box)
+    return _beta_from(_correlators(box), r, s, t)
 
 
 def beta_cell_coefficients(r: int, s: int, t: int) -> dict[tuple, Fraction]:
@@ -73,9 +70,10 @@ def beta_cell_coefficients(r: int, s: int, t: int) -> dict[tuple, Fraction]:
 
 def beta_table(box: Box) -> tuple[list[CHSHValue], bool]:
     """All 8 CHSH values plus a locality flag (all within [-2, 2])."""
-    _require_2x2(box)
+    require_2x2(box)
+    correlators = _correlators(box)
     values = [
-        CHSHValue(r, s, t, beta(box, r, s, t))
+        CHSHValue(r, s, t, _beta_from(correlators, r, s, t))
         for r, s, t in itertools.product((0, 1), repeat=3)
     ]
     local = all(-2 <= v.value <= 2 for v in values)

@@ -17,14 +17,23 @@ Certificate row keys: ``("con", i)`` for constraint i, ``("lb", v)`` /
 constraint is written with relation ``<=`` or ``=`` (``>=`` rows are
 negated), the objective is a maximization, and bounds appear as rows
 ``-v <= -lb`` and ``v <= ub``.
+
+Each ``LinearProgram`` builds this view once, as integers: a row is
+``(key, {var: int}, relation, rhs, den)`` with integer ``rhs`` and ``den``
+the least common denominator of the row's coefficients and right-hand
+side, so the row reads ``sum(c/den * v) <relation> rhs/den``.  The solver
+builds its tableau from these rows and ``check_witness`` tests them by
+integer cross-multiplication; neither converts a row back to Fractions.
+Certificate entries must be ``int`` or ``Fraction``; anything else fails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .rational import as_fraction, format_rational_short
 
@@ -82,6 +91,7 @@ class LinearProgram:
     sense: str
     lower: tuple[tuple[str, Fraction], ...]
     upper: tuple[tuple[str, Fraction], ...]
+    int_rows: tuple[_IntRow, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -140,6 +150,7 @@ class LinearProgram:
         object.__setattr__(self, "sense", sense)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "int_rows", _integer_rows(constraints, lower, upper))
 
     def lower_map(self) -> dict[str, Fraction]:
         return dict(self.lower)
@@ -161,44 +172,53 @@ class LPOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Normalized row view shared by solver and checker.
+# Integer normalized rows shared by solver and checker.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _NormRow:
+class _IntRow(NamedTuple):
+    """``sum(coeffs[v]/den * v) <relation> rhs/den``, with ``den`` least."""
+
     key: tuple
-    coeffs: dict[str, Fraction]
+    coeffs: dict[str, int]
     relation: str  # "<=" or "="
-    rhs: Fraction
+    rhs: int
+    den: int
 
 
-def normalized_rows(lp: LinearProgram) -> list[_NormRow]:
+def _integer_form(values) -> tuple[list[int], int]:
+    """Numerators of exact ``values`` over their least common denominator."""
+    pairs = [(v.numerator, v.denominator) for v in values]
+    den = lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _integer_rows(constraints, lower, upper) -> tuple[_IntRow, ...]:
     """Constraints (>= negated to <=) followed by lb/ub bound rows."""
     rows = []
-    for i, con in enumerate(lp.constraints):
-        coeffs = con.coeff_map()
+    for i, con in enumerate(constraints):
+        nums, den = _integer_form([c for _, c in con.coeffs] + [con.rhs])
         if con.relation == ">=":
-            rows.append(
-                _NormRow(("con", i), {v: -c for v, c in coeffs.items()}, "<=", -con.rhs)
-            )
-        elif con.relation == "<=":
-            rows.append(_NormRow(("con", i), coeffs, "<=", con.rhs))
-        else:
-            rows.append(_NormRow(("con", i), coeffs, "=", con.rhs))
-    for var, lo in lp.lower:
-        rows.append(_NormRow(("lb", var), {var: Fraction(-1)}, "<=", -lo))
-    for var, hi in lp.upper:
-        rows.append(_NormRow(("ub", var), {var: Fraction(1)}, "<=", hi))
-    return rows
+            nums = [-v for v in nums]
+        rhs = nums.pop()
+        coeffs = {var: v for (var, _), v in zip(con.coeffs, nums)}
+        rows.append(_IntRow(("con", i), coeffs, "=" if con.relation == "=" else "<=", rhs, den))
+    for var, lo in lower:
+        q = lo.denominator
+        rows.append(_IntRow(("lb", var), {var: -q}, "<=", -lo.numerator, q))
+    for var, hi in upper:
+        q = hi.denominator
+        rows.append(_IntRow(("ub", var), {var: q}, "<=", hi.numerator, q))
+    return tuple(rows)
 
 
-def normalized_objective(lp: LinearProgram) -> dict[str, Fraction]:
-    """Objective as a maximization (empty when feasibility-only)."""
-    obj = lp.objective_map()
-    if lp.sense == "min":
-        obj = {v: -c for v, c in obj.items()}
-    return obj
+def _integer_objective(lp: LinearProgram) -> tuple[dict[str, int], int]:
+    """Objective as a maximization, numerators over their least common denominator."""
+    if lp.objective is None:
+        return {}, 1
+    nums, den = _integer_form([c for _, c in lp.objective])
+    sign = -1 if lp.sense == "min" else 1
+    return {var: sign * v for (var, _), v in zip(lp.objective, nums)}, den
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +237,13 @@ class _Column:
 class _Canonical:
     columns: list[_Column]
     col_of_var: dict[str, list[int]]
-    rows: list[dict[int, Fraction]]  # sparse coeffs over columns
-    rhs: list[Fraction]
+    rows: list[dict[int, int]]  # sparse integer coeffs over columns
+    rhs: list[int]
+    dens: list[int]  # row i reads rows[i]/dens[i] (relation) rhs[i]/dens[i]
     relations: list[str]  # "<=" or "=" (pre-negation)
     keys: list[tuple]  # normalized-row key per canonical row
-    cost: list[Fraction]  # canonical (minimization) objective per column
+    cost: dict[int, int]  # canonical (minimization) objective over cost_den
+    cost_den: int
 
 
 def _canonicalize(lp: LinearProgram) -> _Canonical:
@@ -241,10 +263,10 @@ def _canonicalize(lp: LinearProgram) -> _Canonical:
             columns.append(_Column(var, "neg", Fraction(0)))
             col_of_var[var] = [len(columns) - 2, len(columns) - 1]
 
-    def substitute(coeffs: dict[str, Fraction]):
+    def substitute(coeffs: dict[str, int], rhs: int, den: int):
         # coefficients are nonzero and each variable owns its columns
-        row: dict[int, Fraction] = {}
-        shift = Fraction(0)  # constant absorbed into the rhs
+        row: dict[int, int] = {}
+        shift = 0  # constant absorbed into the rhs, in units of 1/den
         for var, c in coeffs.items():
             cols = col_of_var[var]
             column = columns[cols[0]]
@@ -255,62 +277,49 @@ def _canonicalize(lp: LinearProgram) -> _Canonical:
             row[cols[0]] = c if column.kind == "shift" else -c
             if column.offset:
                 shift += c * column.offset
-        return row, shift
+        if not shift:
+            return row, rhs, den
+        # back over the least common denominator of the shifted row
+        adjusted = rhs - shift
+        scale = adjusted.denominator
+        g = gcd(den * scale, adjusted.numerator, *(v * scale for v in row.values()))
+        row = {j: v * scale // g for j, v in row.items()}
+        return row, adjusted.numerator // g, den * scale // g
 
-    rows, rhs, relations, keys = [], [], [], []
-    seen: dict[tuple, int] = {}
-    for norm in normalized_rows(lp):
-        if norm.key[0] == "lb":
+    rows, rhs, dens, relations, keys = [], [], [], [], []
+    seen: set[tuple] = set()
+    for int_row in lp.int_rows:
+        key = int_row.key
+        if key[0] == "lb":
             continue  # absorbed by the shift substitution
-        if norm.key[0] == "ub" and columns[col_of_var[norm.key[1]][0]].kind == "flip":
+        if key[0] == "ub" and columns[col_of_var[key[1]][0]].kind == "flip":
             continue  # absorbed by the flip substitution
-        coeffs, shift = substitute(norm.coeffs)
-        adjusted = norm.rhs - shift
-        # integer pairs, not Fractions: hashing a Fraction costs a modular inverse
-        dedup_key = (
-            tuple((j, v.numerator, v.denominator) for j, v in sorted(coeffs.items())),
-            norm.relation,
-            adjusted.numerator,
-            adjusted.denominator,
-        )
+        row, row_rhs, den = substitute(int_row.coeffs, int_row.rhs, int_row.den)
+        dedup_key = (tuple(sorted(row.items())), int_row.relation, row_rhs, den)
         if dedup_key in seen:
             continue
-        seen[dedup_key] = len(rows)
-        rows.append(coeffs)
-        rhs.append(adjusted)
-        relations.append(norm.relation)
-        keys.append(norm.key)
+        seen.add(dedup_key)
+        rows.append(row)
+        rhs.append(row_rhs)
+        dens.append(den)
+        relations.append(int_row.relation)
+        keys.append(key)
 
-    cost = [Fraction(0)] * len(columns)
-    for var, c in normalized_objective(lp).items():
+    obj, cost_den = _integer_objective(lp)
+    cost: dict[int, int] = {}
+    for var, c in obj.items():
         # canonical problem minimizes; max obj contributes -c per column unit
-        for j in col_of_var[var]:
-            kind = columns[j].kind
-            if kind in ("shift", "pos"):
-                cost[j] -= c
-            elif kind == "flip":
-                cost[j] += c
-            else:  # neg split piece
-                cost[j] += c
-    return _Canonical(columns, col_of_var, rows, rhs, relations, keys, cost)
+        cols = col_of_var[var]
+        kind = columns[cols[0]].kind
+        cost[cols[0]] = -c if kind in ("shift", "pos") else c
+        if kind == "pos":
+            cost[cols[1]] = c  # neg split piece
+    return _Canonical(columns, col_of_var, rows, rhs, dens, relations, keys, cost, cost_den)
 
 
 # ---------------------------------------------------------------------------
 # Integer tableau simplex.
 # ---------------------------------------------------------------------------
-
-
-def _scale_row(entries: dict[int, Fraction], width: int) -> tuple[list[int], int]:
-    """Dense integer row over the least common denominator of sparse entries."""
-    den = 1
-    for f in entries.values():
-        if f:
-            den = den * f.denominator // gcd(den, f.denominator)
-    row = [0] * width
-    for j, f in entries.items():
-        if f:
-            row[j] = f.numerator * (den // f.denominator)
-    return row, den
 
 
 def _reduce_row(row: list[int], den: int) -> tuple[list[int], int]:
@@ -356,29 +365,38 @@ class _Simplex:
         self.active = [True] * m
         self.sigma = [1] * m  # +1 / -1 row orientation vs. its canonical source
         # phase-1 reduced costs: cost 1 on artificials, so z1 = -(sum of art
-        # rows) off the artificial columns and 0 on them
-        z1: dict[int, Fraction] = {}
+        # rows) off the artificial columns and 0 on them, over art_den
+        art_den = lcm(*(canon.dens[i] for i in art_rows))
+        z1 = [0] * width
         for i in range(m):
+            den = canon.dens[i]
             entries = dict(canon.rows[i])
             if i in slack_of_row:
-                entries[slack_of_row[i]] = 1
+                entries[slack_of_row[i]] = den  # coefficient 1
             entries[next_col] = canon.rhs[i]
             if canon.rhs[i] < 0:
-                entries = {j: -v for j, v in entries.items()}
                 self.sigma[i] = -1
-            row, den = _scale_row(entries, width)
+            row = [0] * width
+            for j, v in entries.items():
+                row[j] = self.sigma[i] * v
             self.rows.append(row)
             self.dens.append(den)
             if i in self.art_of_row:
                 row[self.art_of_row[i]] = den  # coefficient 1
                 self.basis.append(self.art_of_row[i])
+                scale = -self.sigma[i] * (art_den // den)
                 for j, v in entries.items():
-                    z1[j] = z1.get(j, 0) - v
+                    z1[j] += scale * v
             else:
                 self.basis.append(slack_of_row[i])
-        self.z1, self.z1_den = _scale_row(z1, width)
+        g = gcd(art_den, *z1)
+        self.z1, self.z1_den = [v // g for v in z1], art_den // g
         # phase-2 reduced costs start at the canonical cost vector
-        self.z2, self.z2_den = _scale_row(dict(enumerate(canon.cost)), width)
+        self.z2 = [0] * width
+        for j, c in canon.cost.items():
+            self.z2[j] = c
+        self.z2_den = canon.cost_den
+        self.cost_rows = ["z1", "z2"]  # reduced-cost rows that pivots update
         self.art_cols = set(self.art_of_row.values())
         slack_cols = set(self.slack_of_row.values())
         self._lex_order = (
@@ -411,15 +429,15 @@ class _Simplex:
             new, den = _reduce_row(new, self.dens[i] * dr)
             self.rows[i] = new
             self.dens[i] = den
-        for attr_row, attr_den in (("z1", "z1_den"), ("z2", "z2_den")):
-            zrow = getattr(self, attr_row)
+        for zname in self.cost_rows:
+            zrow = getattr(self, zname)
             f = zrow[c]
             if f == 0:
                 continue
             new = [a * dr - f * b for a, b in zip(zrow, prow)]
-            new, den = _reduce_row(new, getattr(self, attr_den) * dr)
-            setattr(self, attr_row, new)
-            setattr(self, attr_den, den)
+            new, den = _reduce_row(new, getattr(self, zname + "_den") * dr)
+            setattr(self, zname, new)
+            setattr(self, zname + "_den", den)
         self.basis[r] = c
         self.pivots += 1
         if self.pivots > _MAX_PIVOTS:
@@ -612,6 +630,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
 
             farkas = _translate_multipliers(canon, simplex, y_canon, p1_reduced)
             return LPOutcome(status="infeasible", farkas=farkas)
+        simplex.cost_rows = ["z2"]  # nothing reads z1 after phase 1
         simplex.drive_out_artificials()
 
     if lp.objective is not None:
@@ -642,26 +661,34 @@ def solve(lp: LinearProgram) -> LPOutcome:
     )
 
 
-def _row_value(coeffs: dict[str, Fraction], point: dict[str, Fraction]) -> Fraction:
-    return sum((c * point[v] for v, c in coeffs.items() if point[v]), Fraction(0))
+def _exact(value) -> bool:
+    return isinstance(value, (int, Fraction))
 
 
-def _combination(rows: list[_NormRow], multipliers: dict[tuple, Fraction]):
-    """Sum of y * row over the multiplied rows as (coefficients, rhs).
+def _combination(rows: tuple[_IntRow, ...], multipliers: dict[tuple, Fraction]):
+    """Sum of y * row over the multiplied rows as integers over one scale.
 
-    None when a key names no row or a ``<=`` row has a negative multiplier.
+    Returns (coefficients, rhs, scale), the combination being
+    coefficients/scale and rhs/scale.  None when a multiplier is not exact,
+    a key names no row, or a ``<=`` row has a negative multiplier.
     """
-    row_map = {row.key: row for row in rows}
-    coeffs: dict[str, Fraction] = {}
-    rhs = Fraction(0)
+    row_of = {row.key: row for row in rows}
+    terms = []
     for key, y in multipliers.items():
-        row = row_map.get(key)
-        if row is None or (row.relation == "<=" and y < 0):
+        row = row_of.get(key)
+        if row is None or not _exact(y) or (row.relation == "<=" and y < 0):
             return None
-        for var, c in row.coeffs.items():
-            coeffs[var] = coeffs.get(var, 0) + y * c
-        rhs += y * row.rhs
-    return coeffs, rhs
+        terms.append((y, row))
+    scale = lcm(*(y.denominator * row.den for y, row in terms))
+    coeffs: dict[str, int] = {}
+    rhs = 0
+    for y, row in terms:
+        f = y.numerator * (scale // (y.denominator * row.den))
+        if f:
+            for var, c in row.coeffs.items():
+                coeffs[var] = coeffs.get(var, 0) + f * c
+            rhs += f * row.rhs
+    return coeffs, rhs, scale
 
 
 def check_witness(lp: LinearProgram, outcome: LPOutcome) -> bool:
@@ -670,51 +697,52 @@ def check_witness(lp: LinearProgram, outcome: LPOutcome) -> bool:
     Optimal outcomes need primal feasibility, an exact objective value and
     dual multipliers establishing stationarity plus equal objectives.
     Infeasible outcomes need a Farkas vector combining the normalized rows
-    into a contradiction.  Anything else fails.
+    into a contradiction.  Anything else fails, including any certificate
+    entry that is not an ``int`` or a ``Fraction``.
     """
     try:
-        rows = normalized_rows(lp)
+        rows = lp.int_rows
         if outcome.status == "optimal":
             witness = outcome.witness
             if witness is None or set(witness) != set(lp.variables):
                 return False
+            if not (_exact(outcome.objective_value) and all(map(_exact, witness.values()))):
+                return False
+            # the witness is point/scale with integer point
+            scale = lcm(*(w.denominator for w in witness.values()))
+            point = {v: w.numerator * (scale // w.denominator) for v, w in witness.items()}
             for row in rows:
-                value = _row_value(row.coeffs, witness)
-                if row.relation == "=" and value != row.rhs:
+                value = sum(c * point[v] for v, c in row.coeffs.items())
+                if row.relation == "=" and value != row.rhs * scale:
                     return False
-                if row.relation == "<=" and value > row.rhs:
+                if row.relation == "<=" and value > row.rhs * scale:
                     return False
-            raw_obj = lp.objective_map()
-            expected = sum(
-                (c * witness[v] for v, c in raw_obj.items()), Fraction(0)
-            )
-            if outcome.objective_value != expected:
+            obj, obj_den = _integer_objective(lp)
+            primal = sum(c * point[v] for v, c in obj.items())  # over obj_den * scale
+            sign = -1 if lp.sense == "min" else 1
+            if outcome.objective_value * (obj_den * scale) != sign * primal:
                 return False
             if outcome.dual is None:
                 return False
             combined = _combination(rows, outcome.dual)
             if combined is None:
                 return False
-            coeffs, dual_value = combined
-            obj = normalized_objective(lp)
-            if any(coeffs.get(v, 0) != obj.get(v, 0) for v in lp.variables):
+            coeffs, dual_rhs, dual_scale = combined
+            if any(coeffs.get(v, 0) * obj_den != obj.get(v, 0) * dual_scale for v in lp.variables):
                 return False
-            primal_value = sum(
-                (c * witness[v] for v, c in obj.items()), Fraction(0)
-            )
-            return dual_value == primal_value
+            return dual_rhs * obj_den * scale == primal * dual_scale
         if outcome.status == "infeasible":
             if not outcome.farkas:
                 return False
             combined = _combination(rows, outcome.farkas)
             if combined is None:
                 return False
-            coeffs, combined_rhs = combined
+            coeffs, combined_rhs, _ = combined
             if any(coeffs.get(v, 0) != 0 for v in lp.variables):
                 return False
             return combined_rhs < 0
         return False
-    except (TypeError, ValueError, KeyError, ZeroDivisionError):
+    except (AttributeError, TypeError, ValueError, KeyError, ZeroDivisionError):
         return False
 
 

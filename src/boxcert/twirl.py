@@ -25,16 +25,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .box import Box, WrongShape, mix, pr_box
+from .box import Box, WrongShape, mix, pr_box, require_2x2
 from .rational import as_fraction
-
-
-def _require_2x2(box: Box) -> None:
-    if not box.is_binary_bipartite():
-        raise WrongShape(
-            f"need a 2-party binary box, got arities {box.input_arity}/{box.output_arity}"
-        )
 
 
 @dataclass(frozen=True)
@@ -59,6 +53,11 @@ class RelabelingOp:
         b0 = b ^ (d & y) ^ (d & g) ^ th ^ (r & d)
         return a0, b0, x ^ d, y ^ g
 
+    @property
+    def source_index(self) -> tuple[int, ...]:
+        """Per cell of the image, in canonical order, the index of the source cell."""
+        return _source_index(self.delta, self.gamma, self.theta, self.r, self.s)
+
     def inverse(self) -> "RelabelingOp":
         """The member undoing this one: theta picks up delta*gamma."""
         return RelabelingOp(
@@ -66,14 +65,20 @@ class RelabelingOp:
         )
 
 
+@cache
+def _source_index(*bits: int) -> tuple[int, ...]:
+    """One tuple for each of the 32 relabelings, built on first use."""
+    op = RelabelingOp(*bits)
+    index = []
+    for x, y, a, b in itertools.product((0, 1), repeat=4):
+        a0, b0, x0, y0 = op.source_event(a, b, x, y)
+        index.append(8 * x0 + 4 * y0 + 2 * a0 + b0)
+    return tuple(index)
+
+
 def apply_relabeling(op: RelabelingOp, box: Box) -> Box:
-    _require_2x2(box)
-    probs = []
-    for x, y in itertools.product((0, 1), repeat=2):
-        for a, b in itertools.product((0, 1), repeat=2):
-            a0, b0, x0, y0 = op.source_event(a, b, x, y)
-            probs.append(box.prob((a0, b0), (x0, y0)))
-    return Box((2, 2), (2, 2), tuple(probs))
+    require_2x2(box)
+    return Box((2, 2), (2, 2), tuple(box.probs[k] for k in op.source_index))
 
 
 @dataclass(frozen=True)
@@ -91,12 +96,11 @@ class TwirlChannel:
         )
 
     def apply(self, box: Box) -> Box:
-        _require_2x2(box)
+        require_2x2(box)
         acc = [Fraction(0)] * 16
         for op in self.members:
-            image = apply_relabeling(op, box)
-            for i, v in enumerate(image.probs):
-                acc[i] += v
+            for i, k in enumerate(op.source_index):
+                acc[i] += box.probs[k]
         eighth = Fraction(1, 8)
         return Box((2, 2), (2, 2), tuple(v * eighth for v in acc))
 
@@ -108,7 +112,7 @@ def twirl(box: Box, r: int, s: int) -> Box:
 
 def line_decomposition(box: Box, r: int, s: int) -> Fraction | None:
     """Weight p with box = p*B_rs0 + (1-p)*B_rs1 exactly, or None if off the line."""
-    _require_2x2(box)
+    require_2x2(box)
     p = None
     for x, y in itertools.product((0, 1), repeat=2):
         target = (x & y) ^ (r & x) ^ (s & y)  # t = 0 correlation condition
@@ -141,14 +145,13 @@ class RelabelingMixture:
             raise WrongShape("weights must be non-negative and sum to 1")
 
     def apply(self, box: Box) -> Box:
-        _require_2x2(box)
+        require_2x2(box)
         acc = [Fraction(0)] * 16
         for w, op in zip(self.weights, self.ops):
             if w == 0:
                 continue
-            image = apply_relabeling(op, box)
-            for i, v in enumerate(image.probs):
-                acc[i] += w * v
+            for i, k in enumerate(op.source_index):
+                acc[i] += w * box.probs[k]
         return Box((2, 2), (2, 2), tuple(acc))
 
 
@@ -158,7 +161,7 @@ def line_transport(box: Box, r: int, s: int, t: int) -> Box:
     Carries B_000 to B_rst and B_001 to B_rs(1-t), hence the whole
     B_000--B_001 line onto the B_rst--B_rs(1-t) line.
     """
-    _require_2x2(box)
+    require_2x2(box)
     probs = []
     for x, y in itertools.product((0, 1), repeat=2):
         for a, b in itertools.product((0, 1), repeat=2):

@@ -1,17 +1,26 @@
 """Exact simplex: optima, certificates, degeneracy, duality."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
+from boxcert.broadcast import BroadcastInstance, projection_lp
+from boxcert.polytope import anti_robustness_lp, membership_lp
 from boxcert.ratlp import (
     Constraint,
     LinearProgram,
     MalformedLP,
+    _canonicalize,
+    _Simplex,
     check_witness,
     dump_lp,
     solve,
 )
+from boxcert.sampling import random_ns_box, random_ns_box_with_min_beta, rng_from_seed
+from boxcert.twirl import twirl
+from boxcert.vertices import ns_vertices_2x2
 
 F = Fraction
 
@@ -338,6 +347,36 @@ class TestWitnessChecking:
             partial = {k: y for k, y in out.farkas.items() if k != key}
             assert not check_witness(lp, type(out)(status="infeasible", farkas=partial))
 
+    def test_inexact_certificate_entries_rejected(self):
+        # max x s.t. x <= 1: the float copy of the exact certificate must fail
+        lp = LinearProgram(
+            variables=["x"], constraints=[Constraint({"x": 1}, "<=", 1)], objective={"x": 1}
+        )
+        out = solve(lp)
+        assert (out.witness, out.objective_value, out.dual) == ({"x": 1}, 1, {("con", 0): 1})
+        assert check_witness(lp, out)
+        assert check_witness(
+            lp, type(out)("optimal", witness={"x": 1}, objective_value=1, dual={("con", 0): 1})
+        )
+        exact = dict(witness={"x": F(1)}, objective_value=F(1), dual={("con", 0): F(1)})
+        for field, inexact in (
+            ("witness", {"x": 1.0}),
+            ("objective_value", 1.0),
+            ("dual", {("con", 0): 1.0}),
+            ("witness", {"x": "1"}),
+            ("dual", {("con", 0): None}),
+        ):
+            bad = type(out)("optimal", **{**exact, field: inexact})
+            assert not check_witness(lp, bad), field
+        floats = dict(witness={"x": 1.0}, objective_value=1.0, dual={("con", 0): 1.0})
+        assert not check_witness(lp, type(out)("optimal", **floats))
+        contradiction = lp_contradiction()
+        farkas = solve(contradiction).farkas
+        for key in farkas:
+            for inexact in (float(farkas[key]), str(farkas[key])):
+                bad = {**farkas, key: inexact}
+                assert not check_witness(contradiction, type(out)("infeasible", farkas=bad))
+
 
 def random_bounded_lp(rng, n_vars, n_cons):
     """Feasible bounded LP mixing shifted, flipped and free variables.
@@ -433,3 +472,99 @@ class TestDump:
         assert "cap: 3/4 x + -1 y <= 5" in text
         assert "bound: x >= 0" in text
         assert "bound: y <= 7/2" in text
+
+
+def _tampered(out):
+    """Copies of ``out`` with one certificate entry nudged by 1/1000."""
+    nudge = F(1, 1000)
+    if out.status == "infeasible":
+        key = next(iter(out.farkas))
+        return [type(out)(status="infeasible", farkas={**out.farkas, key: out.farkas[key] + nudge})]
+    if out.status != "optimal":
+        return []
+    var = next(iter(out.witness))
+    copies = [
+        type(out)(
+            status="optimal",
+            witness={**out.witness, var: out.witness[var] + nudge},
+            objective_value=out.objective_value,
+            dual=out.dual,
+        )
+    ]
+    if out.dual:
+        key = next(iter(out.dual))
+        copies.append(
+            type(out)(
+                status="optimal",
+                witness=out.witness,
+                objective_value=out.objective_value,
+                dual={**out.dual, key: out.dual[key] + nudge},
+            )
+        )
+    return copies
+
+
+def _pinned_corpus():
+    """Seeded LPs over every bound kind plus the LPs the box verbs solve."""
+    rng = random.Random(41)
+    for k in range(60):
+        lp, _, _ = random_bounded_lp(rng, rng.randint(4, 7), rng.randint(1, 4))
+        yield lp
+        lo_var, lo = lp.lower[rng.randrange(len(lp.lower))]
+        extra = Constraint({lo_var: 1}, "<=", lo - F(1, 3))
+        yield LinearProgram(
+            variables=lp.variables,
+            constraints=list(lp.constraints) + [extra],
+            objective=None if k % 3 == 0 else dict(lp.objective),
+            sense=lp.sense,
+            lower=dict(lp.lower),
+            upper=dict(lp.upper),
+        )
+        if k % 4 == 0:
+            yield LinearProgram(
+                variables=lp.variables,
+                constraints=lp.constraints,
+                lower=dict(lp.lower),
+                upper=dict(lp.upper),
+            )
+    rng = random.Random(42)
+    for _ in range(12):
+        yield from random_primal_dual_pair(rng, rng.randint(1, 4), rng.randint(1, 4))
+    points = tuple(ns_vertices_2x2()[:16])
+    rng = rng_from_seed(43)
+    for k in range(8):
+        if k % 2:
+            box = random_ns_box_with_min_beta(rng, k % 2, (k // 2) % 2, (k // 4) % 2)
+        else:
+            box = random_ns_box(rng)
+        for b in (box, twirl(box, (k // 2) % 2, (k // 4) % 2)):
+            yield membership_lp(b, points)
+            yield anti_robustness_lp(b, points)
+    for alpha in (F(3, 4), F(25, 32), F(4, 5), F(13, 16), F(7, 8)):
+        yield projection_lp(BroadcastInstance(alpha))
+
+
+def _initial_tableau(lp):
+    """The integer tableau before the first pivot; its row scaling steers tie-breaks."""
+    simplex = _Simplex(_canonicalize(lp))
+    return (
+        simplex.rows, simplex.dens, simplex.z1, simplex.z1_den,
+        simplex.z2, simplex.z2_den, simplex.sigma, simplex.basis,
+    )
+
+
+class TestPinnedOutcomes:
+    """Bases depend on row scaling, so outcomes are pinned over all bound kinds."""
+
+    def test_outcome_and_check_digest(self):
+        lines = []
+        for lp in _pinned_corpus():
+            out = solve(lp)
+            lines.append(repr(_initial_tableau(lp)))
+            lines.append(repr(out))
+            lines.append(repr(check_witness(lp, out)))
+            lines.extend(repr(check_witness(lp, bad)) for bad in _tampered(out))
+        statuses = {line.split("'")[1] for line in lines if line.startswith("LPOutcome")}
+        assert statuses == {"optimal", "infeasible"}
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "cda1ec33d705f136eae875aa619fc172df8e46c6ce28c430670be2140a1c1fe8"
