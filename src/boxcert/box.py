@@ -4,6 +4,14 @@ A box is a family of probability distributions P(a|x), one distribution
 over output tuples ``a`` per input tuple ``x``.  Entries are stored flat
 in canonical order: input tuples vary slowest (lexicographic), output
 tuples fastest, so serialized tables are byte-stable.
+
+Every box also has an integer view, ``Box.int_view``: the entries'
+numerators over their least common denominator.  Mixtures, relabelings,
+twirls, the non-signalling check and the CHSH correlators compute on it.
+A box that such an operation builds from validated boxes and checked
+weights is valid by construction, so it comes back through
+``Box._trusted``, which skips re-validation; every other box, and every
+box read from outside, goes through the validating ``Box(...)``.
 """
 
 from __future__ import annotations
@@ -11,9 +19,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from functools import cache, cached_property
+from math import gcd, lcm, prod
 
 from .rational import as_fraction
+
+_ZERO = Fraction(0)
 
 
 class BoxError(Exception):
@@ -41,7 +52,7 @@ class WeightOutOfRange(BoxError):
 
 
 class WrongShape(BoxError):
-    """Operation requires a two-party binary box."""
+    """Operation requires another box shape (a two-party binary box, say)."""
 
 
 class MarginalIllDefined(BoxError):
@@ -93,6 +104,14 @@ class NSReport:
             raise BoxError("fully_ns flag inconsistent with violation list")
 
 
+def _rank(tup, arity) -> int:
+    """Position of ``tup`` among the tuples over ``arity`` in lexicographic order."""
+    r = 0
+    for v, k in zip(tup, arity):
+        r = r * k + v
+    return r
+
+
 @dataclass(frozen=True)
 class Box:
     """Validated conditional probability table with Fraction entries."""
@@ -129,6 +148,38 @@ class Box:
             if total != 1:
                 raise NotNormalized(x, total)
 
+    @classmethod
+    def _trusted(cls, input_arity, output_arity, nums, den) -> Box:
+        """The box with entries ``nums[i]/den``, built without re-validation.
+
+        Only for results whose validity follows from already-checked
+        inputs: a convex combination of validated boxes of one shape with
+        checked weights, or a mixture of output bijections within each
+        input block.  Each Fraction is built once, and the integer view is
+        stored in least form.
+        """
+        g = gcd(den, *nums)
+        if g > 1:
+            nums = [n // g for n in nums]
+            den //= g
+        box = object.__new__(cls)
+        vars(box).update(
+            input_arity=input_arity,
+            output_arity=output_arity,
+            probs=tuple(Fraction(n, den) if n else _ZERO for n in nums),
+            int_view=(tuple(nums), den),
+        )
+        return box
+
+    @cached_property
+    def int_view(self) -> tuple[tuple[int, ...], int]:
+        """``(nums, den)``: entry i is ``nums[i]/den``, ``den`` the least common denominator.
+
+        Computed on first use; not part of ``repr``, ``==`` or ``hash``.
+        """
+        den = lcm(*(p.denominator for p in self.probs))
+        return tuple(p.numerator * (den // p.denominator) for p in self.probs), den
+
     @property
     def party_count(self) -> int:
         return len(self.input_arity)
@@ -143,15 +194,9 @@ class Box:
     def output_tuples(self):
         return itertools.product(*(range(k) for k in self.output_arity))
 
-    def _rank(self, tup, arity) -> int:
-        r = 0
-        for v, k in zip(tup, arity):
-            r = r * k + v
-        return r
-
     def index(self, outputs, inputs) -> int:
-        return self._rank(tuple(inputs), self.input_arity) * self.n_outputs + self._rank(
-            tuple(outputs), self.output_arity
+        return _rank(inputs, self.input_arity) * self.n_outputs + _rank(
+            outputs, self.output_arity
         )
 
     def prob(self, outputs, inputs) -> Fraction:
@@ -187,14 +232,7 @@ def make_box(party_count, input_arity, output_arity, entries) -> Box:
     if isinstance(entries, dict):
         flat = [Fraction(0)] * (n_in * n_out)
         for (a, x), value in entries.items():
-            a, x = tuple(a), tuple(x)
-            rank_x = 0
-            for v, k in zip(x, ins):
-                rank_x = rank_x * k + v
-            rank_a = 0
-            for v, k in zip(a, outs):
-                rank_a = rank_a * k + v
-            flat[rank_x * n_out + rank_a] = as_fraction(value)
+            flat[_rank(x, ins) * n_out + _rank(a, outs)] = as_fraction(value)
         probs = tuple(flat)
     else:
         probs = tuple(as_fraction(v) for v in entries)
@@ -246,9 +284,13 @@ def mix(p, box_a: Box, box_b: Box) -> Box:
         raise WeightOutOfRange(f"mixing weight {p} outside [0, 1]")
     if (box_a.input_arity, box_a.output_arity) != (box_b.input_arity, box_b.output_arity):
         raise ShapeMismatch("cannot mix boxes of different shape")
-    q = 1 - p
-    probs = tuple(p * u + q * v for u, v in zip(box_a.probs, box_b.probs))
-    return Box(box_a.input_arity, box_a.output_arity, probs)
+    a_nums, a_den = box_a.int_view
+    b_nums, b_den = box_b.int_view
+    den = lcm(a_den, b_den)
+    wa = p.numerator * (den // a_den)
+    wb = (p.denominator - p.numerator) * (den // b_den)
+    nums = [wa * u + wb * v for u, v in zip(a_nums, b_nums)]
+    return Box._trusted(box_a.input_arity, box_a.output_arity, nums, p.denominator * den)
 
 
 def convex_combination(weights, boxes) -> Box:
@@ -256,19 +298,22 @@ def convex_combination(weights, boxes) -> Box:
     weights = [as_fraction(w) for w in weights]
     if len(weights) != len(boxes) or not boxes:
         raise ShapeMismatch("weights and boxes must align and be non-empty")
-    if any(w < 0 for w in weights) or sum(weights) != 1:
+    scale = lcm(*(w.denominator for w in weights))
+    counts = [w.numerator * (scale // w.denominator) for w in weights]  # w_i = counts[i]/scale
+    if any(k < 0 for k in counts) or sum(counts) != scale:
         raise WeightOutOfRange("weights must be non-negative and sum to 1")
     shape = (boxes[0].input_arity, boxes[0].output_arity)
     if any((b.input_arity, b.output_arity) != shape for b in boxes):
         raise ShapeMismatch("cannot mix boxes of different shape")
-    acc = [Fraction(0)] * len(boxes[0].probs)
-    for w, b in zip(weights, boxes):
-        if w == 0:
-            continue
-        for i, v in enumerate(b.probs):
+    terms = [(k, b.int_view) for k, b in zip(counts, boxes) if k]
+    den = lcm(*(d for _, (_, d) in terms))
+    acc = [0] * len(boxes[0].probs)
+    for k, (nums, d) in terms:
+        f = k * (den // d)
+        for i, v in enumerate(nums):
             if v:
-                acc[i] += w * v
-    return Box(*shape, tuple(acc))
+                acc[i] += f * v
+    return Box._trusted(*shape, acc, scale * den)
 
 
 def b_alpha(alpha) -> Box:
@@ -313,40 +358,60 @@ def permute_parties(box: Box, new_order) -> Box:
     return Box(ins, outs, tuple(probs))
 
 
-def _one_sided_violations(box: Box, keep: tuple[int, ...]) -> list[NSViolation]:
-    """Check that the marginal on ``keep`` ignores the other side's inputs."""
-    keep = tuple(sorted(keep))
-    rest = tuple(i for i in range(box.party_count) if i not in keep)
+@cache
+def _marginal_groups(input_arity, output_arity, keep: tuple[int, ...]):
+    """The cut keep|rest and, per (a_keep, x_keep), the flat indices summed per x_rest.
+
+    Groups come in the order (a_keep, x_keep, x_rest) that violations are
+    reported in; each is a tuple of ``(x_rest, indices)``.
+    """
+    n = len(input_arity)
+    rest = tuple(i for i in range(n) if i not in keep)
     cut = Cut(frozenset(keep), frozenset(rest))
-    keep_in = [box.input_arity[i] for i in keep]
-    keep_out = [box.output_arity[i] for i in keep]
-    rest_in = [box.input_arity[i] for i in rest]
-    rest_out = [box.output_arity[i] for i in rest]
+    n_out = prod(output_arity)
+    ranges = lambda arity, parties: itertools.product(*(range(arity[i]) for i in parties))
+
+    def full(keep_values, rest_values):
+        values = [0] * n
+        for i, v in zip(keep + rest, keep_values + rest_values):
+            values[i] = v
+        return values
+
+    groups = []
+    for a_keep in ranges(output_arity, keep):
+        for x_keep in ranges(input_arity, keep):
+            group = []
+            for x_rest in ranges(input_arity, rest):
+                base = _rank(full(x_keep, x_rest), input_arity) * n_out
+                indices = tuple(
+                    base + _rank(full(a_keep, a_rest), output_arity)
+                    for a_rest in ranges(output_arity, rest)
+                )
+                group.append((x_rest, indices))
+            groups.append(tuple(group))
+    return cut, tuple(groups)
+
+
+def _one_sided_violations(box: Box, keep: tuple[int, ...]) -> list[NSViolation]:
+    """Check that the marginal on ``keep`` ignores the other side's inputs.
+
+    Sums are exact integers over the box's common denominator; a
+    violation's discrepancy is built only where two sums differ.
+    """
+    cut, groups = _marginal_groups(box.input_arity, box.output_arity, tuple(sorted(keep)))
+    nums, den = box.int_view
+    at = nums.__getitem__
     violations = []
-    for a_keep in itertools.product(*(range(k) for k in keep_out)):
-        for x_keep in itertools.product(*(range(k) for k in keep_in)):
-            reference = None
-            ref_inputs = None
-            for x_rest in itertools.product(*(range(k) for k in rest_in)):
-                x_full = [0] * box.party_count
-                for i, v in zip(keep, x_keep):
-                    x_full[i] = v
-                for i, v in zip(rest, x_rest):
-                    x_full[i] = v
-                total = Fraction(0)
-                for a_rest in itertools.product(*(range(k) for k in rest_out)):
-                    a_full = [0] * box.party_count
-                    for i, v in zip(keep, a_keep):
-                        a_full[i] = v
-                    for i, v in zip(rest, a_rest):
-                        a_full[i] = v
-                    total += box.prob(tuple(a_full), tuple(x_full))
-                if reference is None:
-                    reference, ref_inputs = total, x_rest
-                elif total != reference:
-                    violations.append(
-                        NSViolation(cut, "to_left", (ref_inputs, x_rest), total - reference)
+    for (ref_inputs, ref_indices), *others in groups:
+        reference = sum(map(at, ref_indices))
+        for x_rest, indices in others:
+            total = sum(map(at, indices))
+            if total != reference:
+                violations.append(
+                    NSViolation(
+                        cut, "to_left", (ref_inputs, x_rest), Fraction(total - reference, den)
                     )
+                )
     return violations
 
 

@@ -28,7 +28,16 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .box import Box, BoxError, b_alpha, convex_combination, is_fully_ns, marginal, uniform_box
+from .box import (
+    Box,
+    BoxError,
+    WrongShape,
+    b_alpha,
+    convex_combination,
+    is_fully_ns,
+    marginal,
+    uniform_box,
+)
 from .polytope import anti_robustness
 from .ratlp import Constraint, LinearProgram, LPOutcome, solve
 from .rational import as_fraction
@@ -38,10 +47,6 @@ F = Fraction
 
 
 class RangeError(BoxError):
-    pass
-
-
-class WrongShape(BoxError):
     pass
 
 

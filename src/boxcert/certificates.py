@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .box import Box, b_alpha, convex_combination, is_fully_ns, marginal, mix, pr_box
+from .box import Box, BoxError, b_alpha, convex_combination, is_fully_ns, marginal, mix, pr_box
 from .boxio import box_from_dict, box_to_dict
 from .broadcast import (
     _CROSS_COPY,
@@ -427,8 +427,11 @@ def verify_certificate(data: dict) -> tuple[bool, list[str]]:
     kind = data.get("kind")
     if kind not in _VERIFIERS:
         return False, [f"unknown certificate kind {kind!r}"]
+    version = data.get("format")
+    if type(version) is not int or version != FORMAT_VERSION:
+        return False, [f"unsupported certificate format {version!r}, expected {FORMAT_VERSION}"]
     try:
         _VERIFIERS[kind](data, errors)
-    except (KeyError, ValueError, TypeError, CertificateError) as exc:
+    except (KeyError, ValueError, TypeError, BoxError, CertificateError) as exc:
         errors.append(f"malformed certificate: {exc!r}")
     return (not errors), errors

@@ -25,12 +25,22 @@ class CHSHValue:
     value: Fraction
 
 
+def _int_correlators(box: Box) -> tuple[dict[tuple[int, int], int], int]:
+    """The four correlators as numerators over the box's common denominator."""
+    require_2x2(box)
+    nums, den = box.int_view
+    correlators = {}
+    for i, j in itertools.product((0, 1), repeat=2):
+        base = 8 * i + 4 * j  # cells (a,b) = 00, 01, 10, 11 of input (i,j)
+        p00, p01, p10, p11 = nums[base : base + 4]
+        correlators[(i, j)] = p00 - p01 - p10 + p11
+    return correlators, den
+
+
 def correlator(box: Box, i: int, j: int) -> Fraction:
     """<ij> = P(a=b|x=i,y=j) - P(a!=b|x=i,y=j)."""
-    require_2x2(box)
-    base = 8 * i + 4 * j  # cells (a,b) = 00, 01, 10, 11 of input (i,j)
-    p00, p01, p10, p11 = box.probs[base : base + 4]
-    return p00 - p01 - p10 + p11
+    correlators, den = _int_correlators(box)
+    return Fraction(correlators[(i, j)], den)
 
 
 def beta_signs(r: int, s: int, t: int) -> dict[tuple[int, int], int]:
@@ -43,19 +53,15 @@ def beta_signs(r: int, s: int, t: int) -> dict[tuple[int, int], int]:
     }
 
 
-def _beta_from(correlators: dict[tuple[int, int], Fraction], r: int, s: int, t: int) -> Fraction:
+def _beta_from(correlators: dict[tuple[int, int], int], r: int, s: int, t: int) -> int:
     signs = beta_signs(r, s, t)
-    return sum((signs[ij] * correlators[ij] for ij in signs), Fraction(0))
-
-
-def _correlators(box: Box) -> dict[tuple[int, int], Fraction]:
-    return {(i, j): correlator(box, i, j) for i, j in itertools.product((0, 1), repeat=2)}
+    return sum(signs[ij] * correlators[ij] for ij in signs)
 
 
 def beta(box: Box, r: int, s: int, t: int) -> Fraction:
     """The CHSH quantity beta_rst of a 2x2 box."""
-    require_2x2(box)
-    return _beta_from(_correlators(box), r, s, t)
+    correlators, den = _int_correlators(box)
+    return Fraction(_beta_from(correlators, r, s, t), den)
 
 
 def beta_cell_coefficients(r: int, s: int, t: int) -> dict[tuple, Fraction]:
@@ -70,13 +76,10 @@ def beta_cell_coefficients(r: int, s: int, t: int) -> dict[tuple, Fraction]:
 
 def beta_table(box: Box) -> tuple[list[CHSHValue], bool]:
     """All 8 CHSH values plus a locality flag (all within [-2, 2])."""
-    require_2x2(box)
-    correlators = _correlators(box)
-    values = [
-        CHSHValue(r, s, t, _beta_from(correlators, r, s, t))
-        for r, s, t in itertools.product((0, 1), repeat=3)
-    ]
-    local = all(-2 <= v.value <= 2 for v in values)
+    correlators, den = _int_correlators(box)
+    sums = {rst: _beta_from(correlators, *rst) for rst in itertools.product((0, 1), repeat=3)}
+    values = [CHSHValue(r, s, t, Fraction(v, den)) for (r, s, t), v in sums.items()]
+    local = all(-2 * den <= v <= 2 * den for v in sums.values())
     return values, local
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .box import BoxError, is_fully_ns
 from .boxio import BoxFormatError, box_to_dict, load_box
-from .broadcast import BroadcastInstance, RangeError, broadcast_scan, classify_row
+from .broadcast import BroadcastInstance, RangeError, ScanReport, broadcast_scan, classify_row
 from .certificates import (
     antirobustness_certificate,
     halfspace_certificate,
@@ -249,7 +249,7 @@ def cmd_scan(args) -> int:
         return 2
     if not alphas:
         print("empty grid")
-        _write_json(args.json, {"kind": "broadcast", "result": {"rows": []}})
+        _write_json(args.json, scan_certificate(ScanReport(())))
         return 0
     report, ok = _broadcast_rows(alphas, args.full)
     _write_json(args.json, scan_certificate(report))

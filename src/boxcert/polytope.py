@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from .box import Box, BoxError, Cut, convex_combination, is_fully_ns, mix, pr_box, uniform_box
 from .chsh import CHSHValue, beta, beta_table, max_beta
@@ -72,33 +74,49 @@ def _local_vertex_set(box: Box, cut: Cut | None) -> tuple[tuple[str, Box], ...]:
     )
 
 
+@lru_cache(maxsize=16)
+def _weight_template(shape, points_key):
+    """The part of the weight rows fixed by the vertex set; see ``_weight_rows``.
+
+    ``points_key`` holds ``(name, int_view)`` per point, so the cache keys
+    on exact integers rather than on Boxes, and hashing it is cheap.
+    """
+    input_arity, output_arity = shape
+    weights = tuple(f"w:{name}" for name, _ in points_key)
+    cells = []
+    ranges = lambda arity: itertools.product(*(range(k) for k in arity))
+    for k, (x, a) in enumerate(itertools.product(ranges(input_arity), ranges(output_arity))):
+        coeffs = tuple(
+            (var, F(nums[k], den)) for var, (_, (nums, den)) in zip(weights, points_key) if nums[k]
+        )
+        cells.append((_cell_name(a, x), coeffs))
+    normalization = Constraint([(v, F(1)) for v in weights], "=", F(1), name="normalization")
+    lower = tuple((v, F(0)) for v in weights)
+    return weights, tuple(cells), normalization, lower
+
+
 def _weight_rows(box: Box, points: tuple[tuple[str, Box], ...]):
-    """Weight variables, cell rows and normalization row over ``points``.
+    """Weight variables, cell rows, normalization row and weight bounds over ``points``.
 
     Cell rows come in canonical cell order as (row name, weight
     coefficients, box entry); a weight's coefficient is its point's entry.
+    Only the box entries change from call to call; the rest is built once
+    per vertex set.
     """
-    var_of = {name: f"w:{name}" for name, _ in points}
-    cells = []
-    for k, (x, a) in enumerate(itertools.product(box.input_tuples(), box.output_tuples())):
-        coeffs = {var_of[name]: vert.probs[k] for name, vert in points if vert.probs[k]}
-        cells.append((_cell_name(a, x), coeffs, box.probs[k]))
-    normalization = Constraint(
-        {v: F(1) for v in var_of.values()}, "=", F(1), name="normalization"
+    points_key = tuple((name, vert.int_view) for name, vert in points)
+    weights, cells, normalization, lower = _weight_template(
+        (box.input_arity, box.output_arity), points_key
     )
-    return list(var_of.values()), cells, normalization
+    rows = [(name, coeffs, p) for (name, coeffs), p in zip(cells, box.probs)]
+    return weights, rows, normalization, lower
 
 
 def membership_lp(box: Box, points: tuple[tuple[str, Box], ...]) -> LinearProgram:
     """Feasibility LP: box = sum of weights over ``points``, weights on the simplex."""
-    weights, cells, normalization = _weight_rows(box, points)
+    weights, cells, normalization, lower = _weight_rows(box, points)
     constraints = [Constraint(coeffs, "=", target, name=name) for name, coeffs, target in cells]
     constraints.append(normalization)
-    return LinearProgram(
-        variables=weights,
-        constraints=constraints,
-        lower={v: F(0) for v in weights},
-    )
+    return LinearProgram(variables=weights, constraints=constraints, lower=lower)
 
 
 @dataclass(frozen=True)
@@ -157,21 +175,19 @@ class AntiRobustnessResult:
 
 
 def anti_robustness_lp(box: Box, points: tuple[tuple[str, Box], ...]) -> LinearProgram:
-    weights, cells, normalization = _weight_rows(box, points)
+    weights, cells, normalization, lower = _weight_rows(box, points)
     constraints = []
     for name, coeffs, target in cells:
         if target:
-            coeffs["q"] = -target
+            coeffs += (("q", -target),)
         constraints.append(Constraint(coeffs, ">=", F(0), name=name))
     constraints.append(normalization)
-    lower = {v: F(0) for v in weights}
-    lower["q"] = F(0)
     return LinearProgram(
-        variables=["q"] + weights,
+        variables=("q",) + weights,
         constraints=constraints,
         objective={"q": F(1)},
         sense="max",
-        lower=lower,
+        lower=(("q", F(0)),) + lower,
     )
 
 
@@ -201,11 +217,15 @@ def anti_robustness(box: Box, cut: Cut | None = None) -> AntiRobustnessResult:
     if q == 1:
         admixture = uniform_box(box.party_count)
     else:
-        shape = (box.input_arity, box.output_arity)
-        admixture_probs = tuple(
-            (lw - q * bw) / (1 - q) for lw, bw in zip(local_witness.probs, box.probs)
-        )
-        admixture = Box(*shape, admixture_probs)
+        # (L - q*box)/(1 - q) over one denominator; still validated, since
+        # its validity rests on the LP solution rather than on the types
+        l_nums, l_den = local_witness.int_view
+        b_nums, b_den = box.int_view
+        den = lcm(l_den, b_den)
+        fl, fb = q.denominator * (den // l_den), q.numerator * (den // b_den)
+        scale = den * (q.denominator - q.numerator)
+        admixture_probs = tuple(F(fl * u - fb * v, scale) for u, v in zip(l_nums, b_nums))
+        admixture = Box(box.input_arity, box.output_arity, admixture_probs)
     return AntiRobustnessResult(q, local_witness, admixture, weights, lp, outcome)
 
 

@@ -1,7 +1,13 @@
 """Exact rational linear programming with verifiable certificates.
 
 Two-phase primal simplex: Dantzig's most-negative reduced cost enters and
-the lexicographic ratio rule picks the leaving row.  All pivots are
+a lexicographic ratio rule picks the leaving row.  Ties in the ratio test
+are broken by comparing ``row_i[j]/(dens[i]*a_i)`` column by column, where
+``row_i`` is the stored integer row, ``dens[i]`` its denominator and
+``a_i`` its stored entry in the entering column.  Because the stored row
+scale enters that comparison, the rule depends on how rows are scaled,
+not only on the rational tableau: any change to how rows are built must
+keep ``rows``/``dens`` equal integer for integer.  All pivots are
 exact: tableau rows are integer vectors with a positive per-row
 denominator, so no rounding can occur anywhere.  Every outcome carries a
 certificate that ``check_witness`` re-verifies by substitution alone:
@@ -418,14 +424,17 @@ class _Simplex:
         prow, dr = _reduce_row(prow, pval)
         self.rows[r] = prow
         self.dens[r] = dr
+        # row_i * dr - f * prow, touching only the pivot row's nonzero columns
+        nonzero = [(j, b) for j, b in enumerate(prow) if b]
         for i in range(self.m):
             if i == r or not self.active[i]:
                 continue
             f = self.rows[i][c]
             if f == 0:
                 continue
-            row = self.rows[i]
-            new = [a * dr - f * b for a, b in zip(row, prow)]
+            new = [a * dr for a in self.rows[i]]
+            for j, b in nonzero:
+                new[j] -= f * b
             new, den = _reduce_row(new, self.dens[i] * dr)
             self.rows[i] = new
             self.dens[i] = den
@@ -434,7 +443,9 @@ class _Simplex:
             f = zrow[c]
             if f == 0:
                 continue
-            new = [a * dr - f * b for a, b in zip(zrow, prow)]
+            new = [a * dr for a in zrow]
+            for j, b in nonzero:
+                new[j] -= f * b
             new, den = _reduce_row(new, getattr(self, zname + "_den") * dr)
             setattr(self, zname, new)
             setattr(self, zname + "_den", den)
@@ -451,7 +462,9 @@ class _Simplex:
     # infinitesimal perturbation.  The lexicographic order puts the rhs
     # first, then artificial, slack and structural columns, which makes
     # every initial row lex-positive; termination is then guaranteed for
-    # any entering rule.
+    # any entering rule.  Tied rows are compared as stored, scaled by
+    # dens[i] times their entering-column entry (see ``_lex_less``), so
+    # the row chosen among ties depends on each row's stored scale.
 
     def _entering(self, zrow: list[int], allow_artificial: bool) -> int | None:
         best = None
@@ -465,7 +478,13 @@ class _Simplex:
         return best
 
     def _lex_less(self, i: int, k: int, ai: int, ak: int) -> bool:
-        """Compare rows i, k scaled by their pivot-column entries, lex order."""
+        """Lex-compare ``row_i[j]/(dens[i]*ai)`` with ``row_k[j]/(dens[k]*ak)``.
+
+        ``ai``, ``ak`` are the stored integer pivot-column entries, so the
+        comparison depends on each row's stored scale: rows equal as
+        rationals but stored with another ``dens`` can break ties
+        differently.
+        """
         row_i, row_k = self.rows[i], self.rows[k]
         di = self.dens[i] * ai
         dk = self.dens[k] * ak

@@ -26,8 +26,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
-from .box import Box, WrongShape, mix, pr_box, require_2x2
+from .box import Box, WrongShape, require_2x2
 from .rational import as_fraction
 
 
@@ -77,8 +78,10 @@ def _source_index(*bits: int) -> tuple[int, ...]:
 
 
 def apply_relabeling(op: RelabelingOp, box: Box) -> Box:
+    """The relabeled box; a bijection on the outputs of each input block keeps it valid."""
     require_2x2(box)
-    return Box((2, 2), (2, 2), tuple(box.probs[k] for k in op.source_index))
+    nums, den = box.int_view
+    return Box._trusted((2, 2), (2, 2), [nums[k] for k in op.source_index], den)
 
 
 @dataclass(frozen=True)
@@ -96,13 +99,14 @@ class TwirlChannel:
         )
 
     def apply(self, box: Box) -> Box:
+        """The average of the 8 relabeled boxes, summed over the integer view."""
         require_2x2(box)
-        acc = [Fraction(0)] * 16
+        nums, den = box.int_view
+        acc = [0] * 16
         for op in self.members:
             for i, k in enumerate(op.source_index):
-                acc[i] += box.probs[k]
-        eighth = Fraction(1, 8)
-        return Box((2, 2), (2, 2), tuple(v * eighth for v in acc))
+                acc[i] += nums[k]
+        return Box._trusted((2, 2), (2, 2), acc, 8 * den)
 
 
 def twirl(box: Box, r: int, s: int) -> Box:
@@ -139,20 +143,25 @@ class RelabelingMixture:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", tuple(as_fraction(w) for w in self.weights))
         if len(self.ops) != len(self.weights) or not self.ops:
             raise WrongShape("ops and weights must align and be non-empty")
         if any(w < 0 for w in self.weights) or sum(self.weights) != 1:
             raise WrongShape("weights must be non-negative and sum to 1")
 
     def apply(self, box: Box) -> Box:
+        """The weighted average of the relabeled boxes, summed over the integer view."""
         require_2x2(box)
-        acc = [Fraction(0)] * 16
+        nums, den = box.int_view
+        scale = lcm(*(w.denominator for w in self.weights))
+        acc = [0] * 16
         for w, op in zip(self.weights, self.ops):
             if w == 0:
                 continue
+            f = w.numerator * (scale // w.denominator)
             for i, k in enumerate(op.source_index):
-                acc[i] += w * box.probs[k]
-        return Box((2, 2), (2, 2), tuple(acc))
+                acc[i] += f * nums[k]
+        return Box._trusted((2, 2), (2, 2), acc, scale * den)
 
 
 def line_transport(box: Box, r: int, s: int, t: int) -> Box:
@@ -168,8 +177,3 @@ def line_transport(box: Box, r: int, s: int, t: int) -> Box:
             probs.append(box.prob((a ^ (r & x), b ^ (s & y) ^ t), (x, y)))
     return Box((2, 2), (2, 2), tuple(probs))
 
-
-def pr_line_point(r: int, s: int, p) -> Box:
-    """The box p*B_rs0 + (1-p)*B_rs1."""
-    p = as_fraction(p)
-    return mix(p, pr_box(r, s, 0), pr_box(r, s, 1))

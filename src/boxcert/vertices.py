@@ -59,9 +59,3 @@ def vertex_by_name(name: str) -> Box:
             return box
     raise KeyError(name)
 
-
-def name_of_vertex(box: Box) -> str | None:
-    for name, vert in ns_vertices_2x2():
-        if vert == box:
-            return name
-    return None

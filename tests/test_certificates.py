@@ -162,6 +162,47 @@ class TestBroadcastCertificates:
         assert not ok and errors
 
 
+class TestMalformedInputsRejected:
+    """Bad embedded data gives (False, reasons), never an exception."""
+
+    def antirobustness_data(self):
+        box = b_alpha(F(7, 8))
+        return roundtrip(antirobustness_certificate(box, anti_robustness(box)))
+
+    def test_scan_row_alpha_out_of_range(self):
+        data = roundtrip(scan_certificate(broadcast_scan([F(13, 16)])))
+        data["result"]["rows"][0]["alpha"] = "1/2"
+        ok, errors = verify_certificate(data)
+        assert not ok and "RangeError" in errors[0]
+
+    def test_embedded_box_not_normalized(self):
+        data = self.antirobustness_data()
+        probs = data["inputs"]["box"]["probs"]
+        assert probs[0] == "7/16"
+        probs[0] = "13/48"  # input row (0, 0) now sums to 5/6
+        ok, errors = verify_certificate(data)
+        assert not ok and "NotNormalized" in errors[0]
+
+    def test_embedded_box_probs_not_a_list(self):
+        data = self.antirobustness_data()
+        data["inputs"]["box"]["probs"] = "x"
+        ok, errors = verify_certificate(data)
+        assert not ok and "BoxFormatError" in errors[0]
+
+    @pytest.mark.parametrize("version", [99, 0, "1", True, None])
+    def test_unsupported_format_rejected(self, version):
+        data = self.antirobustness_data()
+        assert verify_certificate(data)[0]
+        data["format"] = version
+        ok, errors = verify_certificate(data)
+        assert not ok and "format" in errors[0]
+
+    def test_missing_format_rejected(self):
+        data = self.antirobustness_data()
+        del data["format"]
+        assert not verify_certificate(data)[0]
+
+
 @pytest.mark.full_oracle
 @pytest.mark.skipif(
     not os.environ.get("BOXCERT_FULL_ORACLE"),

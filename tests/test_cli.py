@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, JSON determinism."""
 
+import argparse
 import hashlib
 import json
 from fractions import Fraction
@@ -8,7 +9,8 @@ import pytest
 
 from boxcert.box import b_alpha, pr_box, uniform_box, make_box
 from boxcert.boxio import save_box
-from boxcert.cli import main
+from boxcert.certificates import FORMAT_VERSION
+from boxcert.cli import cmd_scan, main
 
 F = Fraction
 
@@ -204,3 +206,38 @@ class TestVerifyCert:
 
     def test_unknown_verb_exits_two(self):
         assert main(["frobnicate"]) == 2
+
+
+class TestVerifyCertRejectsMalformed:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("format", 99), ("probs", "x"), ("probs[0]", "13/48"), ("alpha", None)],
+    )
+    def test_exit_one(self, tmp_path, capsys, field, value):
+        cert_path = tmp_path / "cert.json"
+        if field == "alpha":
+            assert main(["broadcast-check", "--alpha", "13/16", "--json", str(cert_path)]) == 0
+            data = json.loads(cert_path.read_text())
+            data["result"]["rows"][0]["alpha"] = "1/2"
+        else:
+            box_path = tmp_path / "box.json"
+            save_box(b_alpha(F(7, 8)), box_path)
+            assert main(["antirobustness", str(box_path), "--json", str(cert_path)]) == 0
+            data = json.loads(cert_path.read_text())
+            if field == "format":
+                data["format"] = value
+            elif field == "probs":
+                data["inputs"]["box"]["probs"] = value
+            else:
+                data["inputs"]["box"]["probs"][0] = value
+        cert_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify-cert", str(cert_path)]) == 1
+        assert "FAILED" in capsys.readouterr().out
+
+    def test_empty_grid_scan_certificate_verifies(self, tmp_path):
+        cert_path = tmp_path / "empty.json"
+        args = argparse.Namespace(alpha_grid=[], json=str(cert_path), full=False)
+        assert cmd_scan(args) == 0
+        assert json.loads(cert_path.read_text())["format"] == FORMAT_VERSION
+        assert main(["verify-cert", str(cert_path)]) == 0
