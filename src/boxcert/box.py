@@ -240,9 +240,14 @@ def make_box(party_count, input_arity, output_arity, entries) -> Box:
 
 
 def pr_box(r: int, s: int, t: int) -> Box:
-    """The extremal box B_rst: P(a,b|x,y) = 1/2 iff a xor b = xy+rx+sy+t."""
-    if any(bit not in (0, 1) for bit in (r, s, t)):
+    """The extremal box B_rst: P(a,b|x,y) = 1/2 iff a xor b = xy+rx+sy+t; built once."""
+    if not all(isinstance(bit, int) and bit in (0, 1) for bit in (r, s, t)):
         raise BoxError("r, s, t must be bits")
+    return _pr_box(r, s, t)
+
+
+@cache
+def _pr_box(r: int, s: int, t: int) -> Box:
     half = Fraction(1, 2)
     probs = []
     for x, y in itertools.product((0, 1), repeat=2):

@@ -25,6 +25,7 @@ for alpha above 3/4:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,11 +96,6 @@ class FeasibilityVerdict:
     outcome: LPOutcome
 
 
-def _require_broadcast_shape(box: Box) -> None:
-    if box.input_arity != (2, 2, 2, 2) or box.output_arity != (2, 2, 2, 2):
-        raise WrongShape("need a 4-party binary box (A, B, A', B')")
-
-
 def c1c2_projection(box4: Box) -> JointDist:
     """Joint success/failure statistics of the per-copy CHSH games.
 
@@ -107,31 +103,39 @@ def c1c2_projection(box4: Box) -> JointDist:
     a + b = x*y (mod 2), copy 2 when a' + b' = x'*y'.  The mean of C1
     equals beta_000 of the AB marginal.
     """
-    _require_broadcast_shape(box4)
+    if box4.input_arity != (2, 2, 2, 2) or box4.output_arity != (2, 2, 2, 2):
+        raise WrongShape("need a 4-party binary box (A, B, A', B')")
     report = is_fully_ns(box4)
     if not report.fully_ns:
         raise WrongShape("projection needs a fully non-signalling box")
     totals = {(1, 1): F(0), (1, 2): F(0), (2, 1): F(0), (2, 2): F(0)}
     weight = F(1, 16)
-    for x, y, xp, yp in itertools.product((0, 1), repeat=4):
-        for a, b, ap, bp in itertools.product((0, 1), repeat=4):
-            p = box4.prob((a, b, ap, bp), (x, y, xp, yp))
-            if p == 0:
-                continue
-            first = 1 if (a ^ b) == (x & y) else 2
-            second = 1 if (ap ^ bp) == (xp & yp) else 2
-            totals[(first, second)] += weight * p
+    for p, ((a, b, ap, bp), (x, y, xp, yp)) in zip(box4.probs, _CELLS):
+        if p == 0:
+            continue
+        first = 1 if (a ^ b) == (x & y) else 2
+        second = 1 if (ap ^ bp) == (xp & yp) else 2
+        totals[(first, second)] += weight * p
     return JointDist(totals[(1, 1)], totals[(1, 2)], totals[(2, 1)], totals[(2, 2)])
+
+
+# The region S1: four locality inequalities on a symmetric projected
+# distribution, each (name, c11, c12, relation, rhs): c11*p11 + c12*p12 <relation> rhs.
+S1_INEQUALITIES = (
+    ("s1-a", 6, -2, ">=", 0),
+    ("s1-b", 2, -6, "<=", 0),
+    ("s1-c", 2, 10, ">=", 2),
+    ("s1-d", 6, 14, "<=", 6),
+)
 
 
 def s1_check(p11, p12) -> bool:
     """The four locality inequalities on a symmetric projected distribution."""
     p11, p12 = as_fraction(p11), as_fraction(p12)
-    return (
-        0 <= 6 * p11 - 2 * p12
-        and 2 * p11 - 6 * p12 <= 0
-        and 0 <= 2 * p11 + 10 * p12 - 2
-        and 6 * p11 + 14 * p12 - 6 <= 0
+    holds = {">=": operator.ge, "<=": operator.le}
+    return all(
+        holds[relation](c11 * p11 + c12 * p12, rhs)
+        for _, c11, c12, relation, rhs in S1_INEQUALITIES
     )
 
 
@@ -146,7 +150,6 @@ def s2_point(instance: BroadcastInstance, t11) -> tuple[Fraction, Fraction]:
 
 def projection_lp(instance: BroadcastInstance) -> LinearProgram:
     alpha, p = instance.alpha, instance.p_alpha
-    one_minus_p = 1 - p
     variables = [
         "L11", "L12", "L22",
         "B11", "B12", "B22",
@@ -159,21 +162,14 @@ def projection_lp(instance: BroadcastInstance) -> LinearProgram:
         Constraint(
             {"X11": 1, "X12": 1, "X21": 1, "X22": 1}, "=", 1, name="X-normalization"
         ),
-        Constraint({"L11": 6, "L12": -2}, ">=", 0, name="s1-a"),
-        Constraint({"L11": 2, "L12": -6}, "<=", 0, name="s1-b"),
-        Constraint({"L11": 2, "L12": 10}, ">=", 2, name="s1-c"),
-        Constraint({"L11": 6, "L12": 14}, "<=", 6, name="s1-d"),
-        Constraint(
-            {"L11": 1, "B11": -p, "X11": -one_minus_p}, "=", 0, name="link-11"
+        *(
+            Constraint({"L11": c11, "L12": c12}, relation, rhs, name=name)
+            for name, c11, c12, relation, rhs in S1_INEQUALITIES
         ),
-        Constraint(
-            {"L12": 1, "B12": -p, "X12": -one_minus_p}, "=", 0, name="link-12"
-        ),
-        Constraint(
-            {"L12": 1, "B12": -p, "X21": -one_minus_p}, "=", 0, name="link-21"
-        ),
-        Constraint(
-            {"L22": 1, "B22": -p, "X22": -one_minus_p}, "=", 0, name="link-22"
+        # L = p*Bhat + (1-p)*X cellwise; L and Bhat are symmetric, X need not be
+        *(
+            Constraint({f"L{s}": 1, f"B{s}": -p, f"X{ij}": p - 1}, "=", 0, name=f"link-{ij}")
+            for ij, s in (("11", "11"), ("12", "12"), ("21", "12"), ("22", "22"))
         ),
     ]
     return LinearProgram(
@@ -210,6 +206,9 @@ def projection_feasibility(instance: BroadcastInstance) -> FeasibilityVerdict:
 # ---------------------------------------------------------------------------
 
 PARTIES = (0, 1, 2, 3)  # A, B, A', B'
+# Exchanging the two copies sends party i to party COPY_SWAP[i]; the map is
+# an involution, so it is its own inverse.
+COPY_SWAP = (2, 3, 0, 1)
 _SUBSETS = tuple(
     tuple(i for i in PARTIES if mask >> i & 1) for mask in range(1, 16)
 )
@@ -217,6 +216,88 @@ _WITHIN_COPY = tuple(
     S for S in _SUBSETS if set(S) <= {0, 1} or set(S) <= {2, 3}
 )
 _CROSS_COPY = tuple(S for S in _SUBSETS if S not in _WITHIN_COPY)
+# the 256 cells (a, x) of a 4-party binary table, in flat box order
+_CELLS = tuple(
+    (a, x)
+    for x in itertools.product((0, 1), repeat=4)
+    for a in itertools.product((0, 1), repeat=4)
+)
+_CROSS_SLOTS = tuple(
+    (S, x_s) for S in _CROSS_COPY for x_s in itertools.product((0, 1), repeat=len(S))
+)
+
+
+def _copy_image(t: tuple) -> tuple:
+    """Per-party values (outputs or inputs) with the two copies exchanged."""
+    return tuple(t[j] for j in COPY_SWAP)
+
+
+def _cell_image(cell: tuple) -> tuple:
+    return tuple(map(_copy_image, cell))
+
+
+def _slot_image(slot: tuple) -> tuple:
+    """Image of a correlator slot (S, x_S): party i moves to COPY_SWAP[i]."""
+    S, x_s = slot
+    return tuple(zip(*sorted(zip((COPY_SWAP[i] for i in S), x_s))))
+
+
+def _orbits(items, image) -> tuple[tuple, ...]:
+    """Orbits of the copy swap on ``items`` as (least member, members), in first-seen order."""
+    orbits: dict = {}
+    for item in items:
+        partner = image(item)
+        rep = min(item, partner)
+        orbits.setdefault(rep, (rep,) if partner == item else (rep, max(item, partner)))
+    return tuple(orbits.items())
+
+
+def _lift(orbits, value) -> dict:
+    """Copy each orbit's value, ``value(representative)``, to every member."""
+    return {member: value(rep) for rep, members in orbits for member in members}
+
+
+def _row_walk():
+    """One cell per row of the 4-party LP, in the row order its pivots and certificates depend on.
+
+    Inputs x vary slowest and outputs a fastest, except that once a cell of
+    a new orbit is met, the walk goes on with that orbit's representative's x.
+    """
+    seen = set()
+    for x0 in itertools.product((0, 1), repeat=4):
+        x = x0
+        for a in itertools.product((0, 1), repeat=4):
+            rep = min((a, x), _cell_image((a, x)))
+            if rep not in seen:
+                seen.add(rep)
+                yield a, x
+                x = rep[1]
+
+
+_CELL_ORBITS = _orbits(_row_walk(), _cell_image)
+_SLOT_ORBITS = tuple(sorted(_orbits(_CROSS_SLOTS, _slot_image)))
+
+
+def _orbits_of_vertices() -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """Copy-swap orbits of the 576 product vertices, sorted by representative.
+
+    A vertex's partner is the vertex whose integer view is its own with
+    each cell's entry moved to the cell's image.
+    """
+    source = [_CELLS.index(_cell_image(cell)) for cell in _CELLS]
+    lookup = dict(broadcast_local_vertices())
+    name_of = {box.int_view: name for name, box in lookup.items()}
+
+    def partner(name: str) -> str:
+        nums, den = lookup[name].int_view
+        return name_of[tuple(nums[k] for k in source), den]
+
+    return tuple(sorted(_orbits(lookup, partner)))
+
+
+def _sign(a: tuple, S: tuple) -> int:
+    """prod_{i in S} (-1)^{a_i}."""
+    return -1 if sum(a[i] for i in S) % 2 else 1
 
 
 def subset_correlator(box: Box, parties: tuple[int, ...], inputs: tuple[int, ...]) -> Fraction:
@@ -226,61 +307,23 @@ def subset_correlator(box: Box, parties: tuple[int, ...], inputs: tuple[int, ...
         x_full[i] = v
     total = F(0)
     for a in box.output_tuples():
-        sign = 1
-        for i in parties:
-            if a[i]:
-                sign = -sign
-        total += sign * box.prob(a, tuple(x_full))
+        total += _sign(a, parties) * box.prob(a, tuple(x_full))
     return total
 
 
 def box_from_correlators(values: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]) -> Box:
     """Rebuild the 4-party table from all 80 subset correlators."""
     probs = []
-    for x in itertools.product((0, 1), repeat=4):
-        for a in itertools.product((0, 1), repeat=4):
-            total = F(1)
-            for S in _SUBSETS:
-                sign = 1
-                for i in S:
-                    if a[i]:
-                        sign = -sign
-                total += sign * values[(S, tuple(x[i] for i in S))]
-            probs.append(total / 16)
+    for a, x in _CELLS:
+        total = F(1)
+        for S in _SUBSETS:
+            total += _sign(a, S) * values[(S, tuple(x[i] for i in S))]
+        probs.append(total / 16)
     return Box((2, 2, 2, 2), (2, 2, 2, 2), tuple(probs))
-
-
-def _swap(t: tuple) -> tuple:
-    """Exchange the two copies: (A, B, A', B') -> (A', B', A, B)."""
-    return (t[2], t[3], t[0], t[1])
-
-
-def _swap_vertex_name(name: str) -> str:
-    """Image of an extremal 2x2 box under exchanging its two systems."""
-    if name.startswith("det_"):
-        _, f, g = name.split("_")
-        return f"det_{g}_{f}"
-    r, s, t = name[3:]
-    return f"pr_{s}{r}{t}"
-
-
-def _swap_product_name(name: str) -> str:
-    alice, bob = name.split("*")
-    return f"{_swap_vertex_name(alice)}*{_swap_vertex_name(bob)}"
-
-
-def _swap_eslot(S: tuple[int, ...], x_s: tuple[int, ...]) -> tuple:
-    swapped = {(2, 3, 0, 1)[i]: v for i, v in zip(S, x_s)}
-    new_s = tuple(sorted(swapped))
-    return new_s, tuple(swapped[i] for i in new_s)
 
 
 def _evar(S: tuple[int, ...], x_s: tuple[int, ...]) -> str:
     return "e:%s:%s" % ("".join(map(str, S)), "".join(map(str, x_s)))
-
-
-def _eslot_orbit(S: tuple[int, ...], x_s: tuple[int, ...]) -> tuple:
-    return min((S, x_s), _swap_eslot(S, x_s))
 
 
 def _fixed_marginal_correlators(alpha: Fraction) -> dict:
@@ -294,14 +337,14 @@ def _fixed_marginal_correlators(alpha: Fraction) -> dict:
     return fixed
 
 
-def _vertex_orbits() -> tuple[tuple[str, tuple[str, ...]], ...]:
-    """Copy-swap orbits of the 576 product vertices, keyed by representative."""
-    orbits: dict[str, tuple[str, ...]] = {}
-    for name, _ in broadcast_local_vertices():
-        partner = _swap_product_name(name)
-        rep = min(name, partner)
-        orbits.setdefault(rep, (rep,) if partner == name else (rep, max(name, partner)))
-    return tuple(sorted(orbits.items()))
+def bhat_from_witness(alpha, witness: dict) -> Box:
+    """The broadcast copy Bhat of a ``full_broadcast_lp`` witness.
+
+    Within-copy correlators are b_alpha's; each cross-copy slot takes its orbit's value.
+    """
+    correlators = _fixed_marginal_correlators(alpha)
+    correlators.update(_lift(_SLOT_ORBITS, lambda rep: witness[_evar(*rep)]))
+    return box_from_correlators(correlators)
 
 
 def full_broadcast_lp(instance: BroadcastInstance) -> LinearProgram:
@@ -313,72 +356,50 @@ def full_broadcast_lp(instance: BroadcastInstance) -> LinearProgram:
     with Bhat >= 0 entrywise, and X = (L - p_alpha*Bhat)/(1 - p_alpha)
     is automatically normalized and fully NS.
 
-    The whole system is invariant under exchanging the two copies, and
-    averaging any solution with its swap gives a symmetric one, so the
-    LP is built over swap orbits: one weight per vertex orbit, one
-    correlator per slot orbit, one row per cell orbit.  This loses no
-    feasibility and shrinks the exact tableau severalfold.
+    The whole system is invariant under exchanging the two copies
+    (``COPY_SWAP``), and averaging any solution with its swap gives a
+    symmetric one, so the LP is built over swap orbits: one weight per
+    vertex orbit, one correlator per slot orbit, one row per cell orbit.
+    This loses no feasibility and shrinks the exact tableau severalfold.
     """
     p = instance.p_alpha
     fixed = _fixed_marginal_correlators(instance.alpha)
     lookup = dict(broadcast_local_vertices())
-    orbits = _vertex_orbits()
+    orbits = _orbits_of_vertices()
     w_vars = [f"w:{rep}" for rep, _ in orbits]
-    e_reps = sorted(
-        {
-            _eslot_orbit(S, x_s)
-            for S in _CROSS_COPY
-            for x_s in itertools.product((0, 1), repeat=len(S))
-        }
-    )
-    e_vars = [_evar(S, x_s) for S, x_s in e_reps]
-    constraints = [
-        Constraint(
-            {f"w:{rep}": F(len(members)) for rep, members in orbits},
-            "=",
-            1,
-            name="normalization",
+    e_vars = [_evar(*rep) for rep, _ in _SLOT_ORBITS]
+    e_var_of = _lift(_SLOT_ORBITS, lambda rep: _evar(*rep))
+    normalization = {f"w:{rep}": F(len(members)) for rep, members in orbits}
+    constraints = [Constraint(normalization, "=", 1, name="normalization")]
+    for (a, x), _ in _CELL_ORBITS:
+        cell = "%s|%s" % ("".join(map(str, a)), "".join(map(str, x)))
+        fixed_part = F(1)
+        e_coeffs: dict[str, Fraction] = {}
+        for S in _SUBSETS:
+            sign = _sign(a, S)
+            x_s = tuple(x[i] for i in S)
+            if S in _WITHIN_COPY:
+                fixed_part += sign * fixed[(S, x_s)]
+            else:
+                var = e_var_of[(S, x_s)]
+                e_coeffs[var] = e_coeffs.get(var, F(0)) + sign
+        # 16*Bhat(a|x) = fixed_part + sum(e_coeffs * e) >= 0
+        constraints.append(
+            Constraint(e_coeffs, ">=", -fixed_part, name=f"bhat-pos:{cell}")
         )
-    ]
-    seen_cells = set()
-    for x in itertools.product((0, 1), repeat=4):
-        for a in itertools.product((0, 1), repeat=4):
-            rep_cell = min((a, x), (_swap(a), _swap(x)))
-            if rep_cell in seen_cells:
-                continue
-            seen_cells.add(rep_cell)
-            a, x = rep_cell
-            cell = "%s|%s" % ("".join(map(str, a)), "".join(map(str, x)))
-            fixed_part = F(1)
-            e_coeffs: dict[str, Fraction] = {}
-            for S in _SUBSETS:
-                sign = 1
-                for i in S:
-                    if a[i]:
-                        sign = -sign
-                x_s = tuple(x[i] for i in S)
-                if S in _WITHIN_COPY:
-                    fixed_part += sign * fixed[(S, x_s)]
-                else:
-                    var = _evar(*_eslot_orbit(S, x_s))
-                    e_coeffs[var] = e_coeffs.get(var, F(0)) + sign
-            # 16*Bhat(a|x) = fixed_part + sum(e_coeffs * e) >= 0
-            constraints.append(
-                Constraint(e_coeffs, ">=", -fixed_part, name=f"bhat-pos:{cell}")
-            )
-            # 16*L(a|x) - p*16*Bhat(a|x) >= 0  with L = sum(w_i v_i)
-            coeffs: dict[str, Fraction] = {}
-            for rep, members in orbits:
-                value = sum((lookup[m].prob(a, x) for m in members), F(0))
-                if value:
-                    coeffs[f"w:{rep}"] = 16 * value
-            for var, sign in e_coeffs.items():
-                scaled = -p * sign
-                if scaled:
-                    coeffs[var] = coeffs.get(var, F(0)) + scaled
-            constraints.append(
-                Constraint(coeffs, ">=", p * fixed_part, name=f"x-pos:{cell}")
-            )
+        # 16*L(a|x) - p*16*Bhat(a|x) >= 0  with L = sum(w_i v_i)
+        coeffs: dict[str, Fraction] = {}
+        for rep, members in orbits:
+            value = sum((lookup[m].prob(a, x) for m in members), F(0))
+            if value:
+                coeffs[f"w:{rep}"] = 16 * value
+        for var, sign in e_coeffs.items():
+            scaled = -p * sign
+            if scaled:
+                coeffs[var] = coeffs.get(var, F(0)) + scaled
+        constraints.append(
+            Constraint(coeffs, ">=", p * fixed_part, name=f"x-pos:{cell}")
+        )
     return LinearProgram(
         variables=w_vars + e_vars,
         constraints=constraints,
@@ -395,18 +416,9 @@ def full_broadcast_feasibility(instance: BroadcastInstance) -> FeasibilityVerdic
             False, instance.alpha, None, outcome.farkas, lp, outcome
         )
     p = instance.p_alpha
-    fixed = _fixed_marginal_correlators(instance.alpha)
-    correlators = dict(fixed)
-    for S in _CROSS_COPY:
-        for x_s in itertools.product((0, 1), repeat=len(S)):
-            correlators[(S, x_s)] = outcome.witness[_evar(*_eslot_orbit(S, x_s))]
-    bhat = box_from_correlators(correlators)
-    weights = {}
-    for rep, members in _vertex_orbits():
-        value = outcome.witness[f"w:{rep}"]
-        if value:
-            for member in members:
-                weights[member] = value
+    bhat = bhat_from_witness(instance.alpha, outcome.witness)
+    lifted = _lift(_orbits_of_vertices(), lambda rep: outcome.witness[f"w:{rep}"])
+    weights = {name: w for name, w in lifted.items() if w}
     lookup = dict(broadcast_local_vertices())
     local = convex_combination(list(weights.values()), [lookup[name] for name in weights])
     if p == 1:
@@ -447,6 +459,15 @@ class ScanRow:
 SEPARATION_THRESHOLD = F(4, 5)
 
 
+def _as_expected(alpha: Fraction, projection_feasible: bool, full_feasible: bool | None) -> bool:
+    """The separation rule: the mixing system is feasible exactly when alpha <= 4/5.
+
+    ``full_feasible`` is None when the 4-party oracle did not run.
+    """
+    expected = alpha <= SEPARATION_THRESHOLD
+    return projection_feasible == expected and full_feasible in (None, expected)
+
+
 @dataclass(frozen=True)
 class ScanRowStatus:
     certified: bool
@@ -462,15 +483,11 @@ def classify_row(alpha: Fraction, projection_feasible: bool, full_feasible: bool
     feasible — the obstruction argument cannot certify anything there,
     whichever oracle runs.
     """
+    ok = _as_expected(alpha, projection_feasible, full_feasible)
     if alpha == F(3, 4):
-        ok = projection_feasible and full_feasible in (None, True)
         return ScanRowStatus(ok, "local box, mixing system feasible" if ok else "unexpected infeasibility")
     if alpha > SEPARATION_THRESHOLD:
-        ok = not projection_feasible and full_feasible in (None, False)
-        return ScanRowStatus(
-            ok,
-            "no-broadcasting certified" if ok else "unexpected feasibility",
-        )
+        return ScanRowStatus(ok, "no-broadcasting certified" if ok else "unexpected feasibility")
     return ScanRowStatus(
         False,
         "inside (3/4, 4/5] the mixing system is feasible, so this argument "
@@ -483,24 +500,11 @@ class ScanReport:
     rows: tuple[ScanRow, ...]
 
     def consistent_with_no_broadcasting(self) -> bool:
-        """True when no row contradicts the expected oracle behavior.
-
-        Rows inside (3/4, 4/5] are expected to be feasible (they cannot
-        certify either way); rows at 3/4 must be feasible and rows above
-        4/5 infeasible.
-        """
-        for row in self.rows:
-            if row.alpha == F(3, 4):
-                expected = True
-            elif row.alpha > SEPARATION_THRESHOLD:
-                expected = False
-            else:
-                expected = True  # feasible boundary witness exists in the window
-            if row.projection.feasible != expected:
-                return False
-            if row.full is not None and row.full.feasible != expected:
-                return False
-        return True
+        """True when every row's verdicts follow the separation rule."""
+        return all(
+            _as_expected(row.alpha, row.projection.feasible, row.full and row.full.feasible)
+            for row in self.rows
+        )
 
 
 def broadcast_scan(alphas, include_full: bool = False) -> ScanReport:

@@ -9,7 +9,6 @@ coordinate anywhere makes verification fail.
 
 from __future__ import annotations
 
-import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -17,13 +16,9 @@ from pathlib import Path
 from .box import Box, BoxError, b_alpha, convex_combination, is_fully_ns, marginal, mix, pr_box
 from .boxio import box_from_dict, box_to_dict
 from .broadcast import (
-    _CROSS_COPY,
     BroadcastInstance,
     ScanReport,
-    _eslot_orbit,
-    _evar,
-    _fixed_marginal_correlators,
-    box_from_correlators,
+    bhat_from_witness,
     full_broadcast_lp,
     projection_lp,
 )
@@ -34,6 +29,7 @@ from .polytope import (
     HalfspaceReport,
     HyperplaneReport,
     MembershipCertificate,
+    anti_robustness_closed_form,
     anti_robustness_lp,
     membership_lp,
     ray_points,
@@ -242,6 +238,13 @@ def _points_for(box: Box, cut: str):
     raise CertificateError(f"unknown cut label {cut!r}")
 
 
+def _mixture(stated_weights: dict, points) -> Box:
+    """The mixture of the named ``points`` with the certificate's stated weights."""
+    weights = _weights_from_dict(stated_weights)
+    lookup = dict(points)
+    return convex_combination(list(weights.values()), [lookup[name] for name in weights])
+
+
 def _verify_membership(data: dict, errors: list[str]) -> None:
     box = box_from_dict(data["inputs"]["box"])
     points = _points_for(box, data["inputs"]["cut"])
@@ -253,14 +256,8 @@ def _verify_membership(data: dict, errors: list[str]) -> None:
     member = data["result"]["member"]
     if member != (outcome.status == "optimal"):
         errors.append("member flag disagrees with LP outcome status")
-    if member:
-        weights = _weights_from_dict(data["result"]["weights"])
-        lookup = dict(points)
-        rebuilt = convex_combination(
-            list(weights.values()), [lookup[name] for name in weights]
-        )
-        if rebuilt != box:
-            errors.append("weights do not reconstruct the box")
+    if member and _mixture(data["result"]["weights"], points) != box:
+        errors.append("weights do not reconstruct the box")
 
 
 def _verify_antirobustness(data: dict, errors: list[str]) -> None:
@@ -275,15 +272,17 @@ def _verify_antirobustness(data: dict, errors: list[str]) -> None:
     if outcome.status != "optimal" or outcome.objective_value != value:
         errors.append("stated value disagrees with verified optimum")
         return
-    weights = _weights_from_dict(data["result"]["weights"])
-    lookup = dict(points)
-    local = convex_combination(
-        list(weights.values()), [lookup[name] for name in weights]
-    )
+    local = _mixture(data["result"]["weights"], points)
     for lv, bv in zip(local.probs, box.probs):
         if lv - value * bv < 0:
             errors.append("local witness fails the admixture inequality")
             return
+
+
+def _check_all_pass(data: dict, errors: list[str]) -> None:
+    """The stated ``all_pass`` must say whether the checks so far found no error."""
+    if data["result"]["all_pass"] is not (not errors):
+        errors.append("stated all_pass disagrees with the verified checks")
 
 
 def _verify_hyperplane(data: dict, errors: list[str]) -> None:
@@ -328,6 +327,7 @@ def _verify_hyperplane(data: dict, errors: list[str]) -> None:
             errors.append(f"{name}: membership weights do not reconstruct the point")
     if len(seen) != 23:
         errors.append(f"expected 23 ray points, found {len(seen)}")
+    _check_all_pass(data, errors)
 
 
 def _verify_halfspace(data: dict, errors: list[str]) -> None:
@@ -372,14 +372,18 @@ def _verify_halfspace(data: dict, errors: list[str]) -> None:
         )
         if rebuilt != candidate:
             errors.append(f"halfspace sample {k}: weights do not reconstruct the sample")
+    _check_all_pass(data, errors)
 
 
 def _verify_broadcast(data: dict, errors: list[str]) -> None:
-    for entry in data["result"]["rows"]:
+    rows = data["result"]["rows"]
+    for entry in rows:
         alpha = as_fraction(entry["alpha"])
         instance = BroadcastInstance(alpha)
         if as_fraction(entry["p_alpha"]) != instance.p_alpha:
             errors.append(f"alpha={alpha}: stated p_alpha wrong")
+        if as_fraction(entry["anti_robustness"]) != anti_robustness_closed_form(b_alpha(alpha)):
+            errors.append(f"alpha={alpha}: stated anti_robustness wrong")
         lp = projection_lp(instance)
         outcome = outcome_from_dict(entry["projection"]["outcome"])
         if not check_witness(lp, outcome):
@@ -394,13 +398,7 @@ def _verify_broadcast(data: dict, errors: list[str]) -> None:
             if entry["full"]["feasible"] != (full_outcome.status == "optimal"):
                 errors.append(f"alpha={alpha}: full verdict/status mismatch")
             if entry["full"].get("broadcast_copy"):
-                correlators = dict(_fixed_marginal_correlators(alpha))
-                for S in _CROSS_COPY:
-                    for x_s in itertools.product((0, 1), repeat=len(S)):
-                        correlators[(S, x_s)] = full_outcome.witness[
-                            _evar(*_eslot_orbit(S, x_s))
-                        ]
-                bhat = box_from_correlators(correlators)
+                bhat = bhat_from_witness(alpha, full_outcome.witness)
                 if bhat != box_from_dict(entry["full"]["broadcast_copy"]):
                     errors.append(
                         f"alpha={alpha}: embedded broadcast copy does not match the witness"
@@ -410,6 +408,9 @@ def _verify_broadcast(data: dict, errors: list[str]) -> None:
                     errors.append(
                         f"alpha={alpha}: broadcast copy marginals are not the line box"
                     )
+    stated = [as_fraction(a) for a in data["inputs"]["alphas"]]
+    if stated != [as_fraction(entry["alpha"]) for entry in rows]:
+        errors.append("inputs.alphas differ from the row alphas")
 
 
 _VERIFIERS = {

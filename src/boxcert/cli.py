@@ -14,11 +14,12 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .box import BoxError, is_fully_ns
 from .boxio import BoxFormatError, box_to_dict, load_box
-from .broadcast import BroadcastInstance, RangeError, ScanReport, broadcast_scan, classify_row
+from .broadcast import BroadcastInstance, RangeError, broadcast_scan, classify_row
 from .certificates import (
     antirobustness_certificate,
     halfspace_certificate,
@@ -210,8 +211,9 @@ def cmd_hyperplane_check(args) -> int:
     return 0 if all_pass else 1
 
 
-def _broadcast_rows(alphas, include_full):
-    report = broadcast_scan(alphas, include_full=include_full)
+def _broadcast_rows(alphas, args) -> int:
+    """Print one line per alpha, write the scan certificate, and return the exit code."""
+    report = broadcast_scan(alphas, include_full=args.full)
     ok = True
     for row in report.rows:
         verdict = "feasible" if row.projection.feasible else "infeasible"
@@ -227,7 +229,8 @@ def _broadcast_rows(alphas, include_full):
             line += f"  [{status.note}]"
         print(line)
         ok &= status.certified
-    return report, ok
+    _write_json(args.json, scan_certificate(report))
+    return 0 if ok else 1
 
 
 def cmd_broadcast_check(args) -> int:
@@ -236,9 +239,7 @@ def cmd_broadcast_check(args) -> int:
     except RangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report, ok = _broadcast_rows([instance.alpha], args.full)
-    _write_json(args.json, scan_certificate(report))
-    return 0 if ok else 1
+    return _broadcast_rows([instance.alpha], args)
 
 
 def cmd_scan(args) -> int:
@@ -249,11 +250,7 @@ def cmd_scan(args) -> int:
         return 2
     if not alphas:
         print("empty grid")
-        _write_json(args.json, scan_certificate(ScanReport(())))
-        return 0
-    report, ok = _broadcast_rows(alphas, args.full)
-    _write_json(args.json, scan_certificate(report))
-    return 0 if ok else 1
+    return _broadcast_rows(alphas, args)
 
 
 def cmd_verify_cert(args) -> int:
@@ -282,7 +279,9 @@ def cmd_verify_cert(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="boxcert",
         description="Exact certification toolkit for non-signalling boxes",
@@ -349,9 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)

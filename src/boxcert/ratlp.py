@@ -85,9 +85,6 @@ class Constraint:
         object.__setattr__(self, "rhs", as_fraction(rhs))
         object.__setattr__(self, "name", name)
 
-    def coeff_map(self) -> dict[str, Fraction]:
-        return dict(self.coeffs)
-
 
 @dataclass(frozen=True)
 class LinearProgram:
@@ -157,15 +154,6 @@ class LinearProgram:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "int_rows", _integer_rows(constraints, lower, upper))
-
-    def lower_map(self) -> dict[str, Fraction]:
-        return dict(self.lower)
-
-    def upper_map(self) -> dict[str, Fraction]:
-        return dict(self.upper)
-
-    def objective_map(self) -> dict[str, Fraction]:
-        return {} if self.objective is None else dict(self.objective)
 
 
 @dataclass(frozen=True)
@@ -253,7 +241,7 @@ class _Canonical:
 
 
 def _canonicalize(lp: LinearProgram) -> _Canonical:
-    lo_map, hi_map = lp.lower_map(), lp.upper_map()
+    lo_map, hi_map = dict(lp.lower), dict(lp.upper)
     columns: list[_Column] = []
     col_of_var: dict[str, list[int]] = {}
     for var in lp.variables:
@@ -659,9 +647,8 @@ def solve(lp: LinearProgram) -> LPOutcome:
 
     values = simplex.column_values()
     witness = _witness_from_columns(canon, values)
-    obj_map = lp.objective_map()
     objective_value = sum(
-        (c * witness[v] for v, c in obj_map.items()), Fraction(0)
+        (c * witness[v] for v, c in lp.objective or ()), Fraction(0)
     )
     y_canon = simplex.row_multipliers("z2", art_cost=0)
 

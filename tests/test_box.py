@@ -99,6 +99,18 @@ class TestPRBox:
         with pytest.raises(BoxError):
             pr_box(2, 0, 0)
 
+    def test_built_once(self):
+        assert pr_box(1, 0, 1) is pr_box(1, 0, 1)
+        assert pr_box(True, False, True) is pr_box(1, 0, 1)
+
+    @pytest.mark.parametrize("bits", [(2, 0, 0), (0, -1, 0), (0, 0, "1"), (None, 0, 0), (0.0, 0, 0)])
+    def test_non_bits_rejected_on_every_call(self, bits):
+        from boxcert.box import BoxError
+
+        for _ in range(2):
+            with pytest.raises(BoxError):
+                pr_box(*bits)
+
 
 class TestDeterministicVertices:
     def test_constant_strategy_box(self):

@@ -1,5 +1,6 @@
 """Projection argument, broadcast line, and scan reports."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -7,15 +8,24 @@ import pytest
 
 from boxcert.box import b_alpha, convex_combination, mix, permute_parties, pr_box, tensor
 from boxcert.broadcast import (
+    _CELL_ORBITS,
+    _CROSS_COPY,
+    _SLOT_ORBITS,
+    COPY_SWAP,
     BroadcastInstance,
     JointDist,
     RangeError,
     WrongShape,
+    _evar,
+    _orbits_of_vertices,
+    bhat_from_witness,
     broadcast_scan,
     c1c2_projection,
+    full_broadcast_lp,
     projection_feasibility,
     s1_check,
     s2_point,
+    subset_correlator,
 )
 from boxcert.chsh import beta
 from boxcert.polytope import anti_robustness
@@ -232,3 +242,89 @@ class TestScan:
     def test_empty_grid(self):
         report = broadcast_scan([])
         assert report.rows == ()
+
+
+def _swapped(box):
+    """The box with its two copies exchanged, by the party permutation alone."""
+    return permute_parties(box, COPY_SWAP)
+
+
+def _generic_ns_box(seed):
+    rng = rng_from_seed(seed)
+    return mix(
+        F(rng.randint(1, 63), 64),
+        tensor(random_ns_box(rng), random_ns_box(rng)),
+        tensor(random_ns_box(rng), random_ns_box(rng)),
+    )
+
+
+def _assert_partition(orbits, items):
+    members = [m for _, group in orbits for m in group]
+    assert sorted(members) == sorted(items)
+    assert all(rep == min(group) for rep, group in orbits)
+
+
+class TestCopySwapOrbits:
+    """The 4-party LP's orbits, derived from COPY_SWAP, against the swap's action on boxes."""
+
+    # sha256 of repr(lp) + repr(lp.int_rows): the LPs must stay
+    # byte-identical, since the oracle's pivots and certificates follow them
+    LP_DIGESTS = {
+        F(3, 4): "8624913c67a33f4f62874b893cc7c47ede27257e58c8840a5393da04ad43896c",
+        F(25, 32): "c90bb1023d0b89c35e6b7782beeffa1d6cedc541977e695bdbce5cf6261aa31c",
+        F(4, 5): "ae8ddbc863ebacce380eda1c9acd54c2a77410b114c9e5ad65f51b8da6ee5e9b",
+        F(13, 16): "97725a57a62ce6afa1ae42b9dfa15d2a225f5186fa8803861e466fb7c04c9606",
+        F(1): "3f8901db79db139da3127ae2a114d944a033d68beec6e2dde6534b8b80fb28fa",
+    }
+
+    def test_full_broadcast_lp_unchanged(self):
+        for alpha, expected in self.LP_DIGESTS.items():
+            lp = full_broadcast_lp(BroadcastInstance(alpha))
+            assert (len(lp.variables), len(lp.constraints)) == (356, 273)
+            text = repr(lp) + repr(lp.int_rows)
+            assert hashlib.sha256(text.encode()).hexdigest() == expected, alpha
+
+    def test_vertex_orbits(self):
+        orbits = _orbits_of_vertices()
+        assert len(orbits) == 320
+        vertices = broadcast_local_vertices()
+        _assert_partition(orbits, [name for name, _ in vertices])
+        name_of = {box: name for name, box in vertices}
+        lookup = dict(vertices)
+        for _, members in orbits:
+            assert {name_of[_swapped(lookup[m])] for m in members} == set(members)
+
+    def test_cell_orbits(self):
+        assert len(_CELL_ORBITS) == 136
+        cells = list(itertools.product(itertools.product((0, 1), repeat=4), repeat=2))
+        _assert_partition(_CELL_ORBITS, cells)
+        box = _generic_ns_box(91)
+        image = _swapped(box)
+        for _, members in _CELL_ORBITS:
+            # the swap moves each member's entry to the other member
+            assert [image.prob(*c) for c in members] == [box.prob(*c) for c in reversed(members)]
+
+    def test_slot_orbits(self):
+        assert len(_SLOT_ORBITS) == 36
+        slots = [
+            (S, x_s) for S in _CROSS_COPY for x_s in itertools.product((0, 1), repeat=len(S))
+        ]
+        assert len(slots) == 64
+        _assert_partition(_SLOT_ORBITS, slots)
+        box = _generic_ns_box(92)
+        image = _swapped(box)
+        for _, members in _SLOT_ORBITS:
+            assert [subset_correlator(image, *m) for m in members] == [
+                subset_correlator(box, *m) for m in reversed(members)
+            ]
+
+    def test_bhat_from_witness_rebuilds_a_symmetric_copy(self):
+        lp = full_broadcast_lp(BroadcastInstance(F(7, 8)))
+        e_vars = {v for v in lp.variables if v.startswith("e:")}
+        for alpha in (F(3, 4), F(25, 32), F(7, 8)):
+            product = tensor(b_alpha(alpha), b_alpha(alpha))
+            witness = {
+                _evar(*rep): subset_correlator(product, *rep) for rep, _ in _SLOT_ORBITS
+            }
+            assert set(witness) == e_vars
+            assert bhat_from_witness(alpha, witness) == product

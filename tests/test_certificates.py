@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from boxcert.box import b_alpha, pr_box
-from boxcert.broadcast import broadcast_scan
+from boxcert.broadcast import ScanReport, broadcast_scan
 from boxcert.certificates import (
     antirobustness_certificate,
     halfspace_certificate,
@@ -201,6 +201,61 @@ class TestMalformedInputsRejected:
         data = self.antirobustness_data()
         del data["format"]
         assert not verify_certificate(data)[0]
+
+
+class TestStatedValuesRechecked:
+    """Every value a certificate states is recomputed, not trusted."""
+
+    def scan_data(self):
+        return roundtrip(scan_certificate(broadcast_scan([F(3, 4), F(7, 8)])))
+
+    def test_scan_anti_robustness_tampered(self):
+        data = self.scan_data()
+        row = data["result"]["rows"][1]
+        assert row["anti_robustness"] == "6/7"
+        row["anti_robustness"] = "1/1"
+        ok, errors = verify_certificate(data)
+        assert not ok
+        assert errors == ["alpha=7/8: stated anti_robustness wrong"]
+
+    @pytest.mark.parametrize(
+        "alphas", [["3/4"], ["7/8", "3/4"], ["3/4", "7/8", "1/1"], ["3/4", "13/16"]]
+    )
+    def test_scan_inputs_alphas_must_match_rows(self, alphas):
+        data = self.scan_data()
+        assert verify_certificate(data)[0]
+        data["inputs"]["alphas"] = alphas
+        ok, errors = verify_certificate(data)
+        assert not ok
+        assert errors == ["inputs.alphas differ from the row alphas"]
+
+    def test_empty_scan_stays_valid(self):
+        data = roundtrip(scan_certificate(ScanReport(())))
+        assert data["inputs"]["alphas"] == [] and data["result"]["rows"] == []
+        assert verify_certificate(data) == (True, [])
+
+    @pytest.mark.parametrize("kind", ["hyperplane", "halfspace"])
+    def test_all_pass_flipped(self, kind):
+        if kind == "hyperplane":
+            data = hyperplane_certificate(hyperplane_locality_check(0, 1, 0))
+        else:
+            data = halfspace_certificate(halfspace_body_equality_check(0, 1, 0, samples=4, seed=5))
+        data = roundtrip(data)
+        assert data["result"]["all_pass"] is True
+        assert verify_certificate(data) == (True, [])
+        data["result"]["all_pass"] = False
+        ok, errors = verify_certificate(data)
+        assert not ok
+        assert errors == ["stated all_pass disagrees with the verified checks"]
+
+    def test_all_pass_must_be_a_bool(self):
+        data = roundtrip(hyperplane_certificate(hyperplane_locality_check(0, 0, 0)))
+        data["result"]["all_pass"] = 1
+        assert not verify_certificate(data)[0]
+
+    def test_halfspace_without_samples_stays_valid(self):
+        report = halfspace_body_equality_check(0, 0, 0, samples=0, seed=0)
+        assert verify_certificate(roundtrip(halfspace_certificate(report))) == (True, [])
 
 
 @pytest.mark.full_oracle

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, exit codes, JSON determinism."""
 
 import argparse
+import gc
 import hashlib
 import json
 from fractions import Fraction
@@ -241,3 +242,28 @@ class TestVerifyCertRejectsMalformed:
         assert cmd_scan(args) == 0
         assert json.loads(cert_path.read_text())["format"] == FORMAT_VERSION
         assert main(["verify-cert", str(cert_path)]) == 0
+
+
+class TestNoCyclicGarbage:
+    def test_repeated_calls_leave_nothing_for_the_collector(self, pr_file, tmp_path):
+        # the parser is built once, so a call leaves no argparse cycles
+        # (writing a certificate is left out: json.dumps with indent leaves
+        # a few cycles of its own)
+        cert = tmp_path / "ar.json"
+        assert main(["antirobustness", pr_file, "--json", str(cert)]) == 0
+        calls = [
+            ["verify-cert", str(cert)],
+            ["antirobustness", pr_file],
+            ["antirobustness", pr_file, "--method", "formula"],
+        ]
+        for argv in calls:  # one warm call each fills the caches
+            assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                for argv in calls:
+                    assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
