@@ -28,6 +28,8 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
 from .box import (
     Box,
@@ -278,6 +280,7 @@ _CELL_ORBITS = _orbits(_row_walk(), _cell_image)
 _SLOT_ORBITS = tuple(sorted(_orbits(_CROSS_SLOTS, _slot_image)))
 
 
+@cache
 def _orbits_of_vertices() -> tuple[tuple[str, tuple[str, ...]], ...]:
     """Copy-swap orbits of the 576 product vertices, sorted by representative.
 
@@ -293,6 +296,28 @@ def _orbits_of_vertices() -> tuple[tuple[str, tuple[str, ...]], ...]:
         return name_of[tuple(nums[k] for k in source), den]
 
     return tuple(sorted(_orbits(lookup, partner)))
+
+
+@cache
+def _vertex_orbit_terms() -> tuple[tuple[tuple[str, Fraction], ...], ...]:
+    """Per cell orbit, in row order: each vertex orbit's nonzero ``16 * sum`` of member entries.
+
+    These ``x-pos`` coefficients do not depend on alpha, so they are built
+    once, by summing the members' integer views over a common denominator.
+    """
+    lookup = dict(broadcast_local_vertices())
+    sums = []
+    for rep, members in _orbits_of_vertices():
+        views = [lookup[m].int_view for m in members]
+        den = lcm(*(d for _, d in views))
+        scaled = ([n * (den // d) for n in nums] for nums, d in views)
+        total = [16 * sum(column) for column in zip(*scaled)]
+        sums.append((f"w:{rep}", total, den))
+    position = {cell: k for k, cell in enumerate(_CELLS)}
+    return tuple(
+        tuple((var, F(total[k], den)) for var, total, den in sums if total[k])
+        for k in (position[cell] for cell, _ in _CELL_ORBITS)
+    )
 
 
 def _sign(a: tuple, S: tuple) -> int:
@@ -364,14 +389,13 @@ def full_broadcast_lp(instance: BroadcastInstance) -> LinearProgram:
     """
     p = instance.p_alpha
     fixed = _fixed_marginal_correlators(instance.alpha)
-    lookup = dict(broadcast_local_vertices())
     orbits = _orbits_of_vertices()
     w_vars = [f"w:{rep}" for rep, _ in orbits]
     e_vars = [_evar(*rep) for rep, _ in _SLOT_ORBITS]
     e_var_of = _lift(_SLOT_ORBITS, lambda rep: _evar(*rep))
     normalization = {f"w:{rep}": F(len(members)) for rep, members in orbits}
     constraints = [Constraint(normalization, "=", 1, name="normalization")]
-    for (a, x), _ in _CELL_ORBITS:
+    for ((a, x), _), vertex_terms in zip(_CELL_ORBITS, _vertex_orbit_terms()):
         cell = "%s|%s" % ("".join(map(str, a)), "".join(map(str, x)))
         fixed_part = F(1)
         e_coeffs: dict[str, Fraction] = {}
@@ -388,11 +412,7 @@ def full_broadcast_lp(instance: BroadcastInstance) -> LinearProgram:
             Constraint(e_coeffs, ">=", -fixed_part, name=f"bhat-pos:{cell}")
         )
         # 16*L(a|x) - p*16*Bhat(a|x) >= 0  with L = sum(w_i v_i)
-        coeffs: dict[str, Fraction] = {}
-        for rep, members in orbits:
-            value = sum((lookup[m].prob(a, x) for m in members), F(0))
-            if value:
-                coeffs[f"w:{rep}"] = 16 * value
+        coeffs = dict(vertex_terms)
         for var, sign in e_coeffs.items():
             scaled = -p * sign
             if scaled:

@@ -424,6 +424,8 @@ _VERIFIERS = {
 
 def verify_certificate(data: dict) -> tuple[bool, list[str]]:
     """Re-verify a certificate by substitution; returns (ok, error list)."""
+    if not isinstance(data, dict):
+        return False, ["certificate is not a JSON object"]
     errors: list[str] = []
     kind = data.get("kind")
     if kind not in _VERIFIERS:

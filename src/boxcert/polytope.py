@@ -22,10 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .box import Box, BoxError, Cut, convex_combination, is_fully_ns, mix, pr_box, uniform_box
 from .chsh import CHSHValue, beta, beta_table, max_beta
-from .ratlp import Constraint, LinearProgram, LPOutcome, solve
+from .ratlp import Constraint, LinearProgram, LPOutcome, _IntRow, solve
 from .sampling import (
     random_ns_box_with_min_beta,
     rational_weights,
@@ -34,6 +35,7 @@ from .sampling import (
 from .vertices import broadcast_local_vertices, ns_vertices_2x2
 
 F = Fraction
+_ZERO = F(0)
 
 BROADCAST_CUT = Cut(frozenset({0, 2}), frozenset({1, 3}))
 
@@ -74,49 +76,90 @@ def _local_vertex_set(box: Box, cut: Cut | None) -> tuple[tuple[str, Box], ...]:
     )
 
 
+class _WeightTemplate(NamedTuple):
+    """The rows of the weight LPs over one vertex set; only the box entries vary.
+
+    ``cells`` holds, per cell in canonical cell order, the row name, the
+    weight terms sorted by variable name (a weight's coefficient is its
+    point's entry, zeros left out), their variable names, their numerators
+    over their least common denominator and that denominator.  The
+    normalization row and the weight lower bounds come with their integer
+    rows, as ``LinearProgram`` would derive them; every LP built from one
+    template shares these rows, which nothing writes to.
+    """
+
+    weights: tuple[str, ...]
+    cells: tuple[tuple[str, tuple, tuple[str, ...], tuple[int, ...], int], ...]
+    normalization: Constraint
+    normalization_row: _IntRow
+    lower: tuple[tuple[str, Fraction], ...]
+    lower_rows: tuple[_IntRow, ...]
+
+
 @lru_cache(maxsize=16)
-def _weight_template(shape, points_key):
-    """The part of the weight rows fixed by the vertex set; see ``_weight_rows``.
+def _weight_template(shape, points_key) -> _WeightTemplate:
+    """The weight-LP rows over one vertex set, built once and filled on first use.
 
     ``points_key`` holds ``(name, int_view)`` per point, so the cache keys
     on exact integers rather than on Boxes, and hashing it is cheap.
     """
     input_arity, output_arity = shape
     weights = tuple(f"w:{name}" for name, _ in points_key)
+    # the validating constructor rejects repeated names, once per vertex set
+    normalization = Constraint([(v, 1) for v in weights], "=", 1, name="normalization")
+    by_name = sorted(zip(weights, (view for _, view in points_key)))
     cells = []
     ranges = lambda arity: itertools.product(*(range(k) for k in arity))
     for k, (x, a) in enumerate(itertools.product(ranges(input_arity), ranges(output_arity))):
-        coeffs = tuple(
-            (var, F(nums[k], den)) for var, (_, (nums, den)) in zip(weights, points_key) if nums[k]
+        terms = tuple((var, F(nums[k], den)) for var, (nums, den) in by_name if nums[k])
+        wden = lcm(*(c.denominator for _, c in terms))
+        cells.append(
+            (
+                _cell_name(a, x),
+                terms,
+                tuple(var for var, _ in terms),
+                tuple(c.numerator * (wden // c.denominator) for _, c in terms),
+                wden,
+            )
         )
-        cells.append((_cell_name(a, x), coeffs))
-    normalization = Constraint([(v, F(1)) for v in weights], "=", F(1), name="normalization")
-    lower = tuple((v, F(0)) for v in weights)
-    return weights, tuple(cells), normalization, lower
-
-
-def _weight_rows(box: Box, points: tuple[tuple[str, Box], ...]):
-    """Weight variables, cell rows, normalization row and weight bounds over ``points``.
-
-    Cell rows come in canonical cell order as (row name, weight
-    coefficients, box entry); a weight's coefficient is its point's entry.
-    Only the box entries change from call to call; the rest is built once
-    per vertex set.
-    """
-    points_key = tuple((name, vert.int_view) for name, vert in points)
-    weights, cells, normalization, lower = _weight_template(
-        (box.input_arity, box.output_arity), points_key
+    names = [var for var, _ in normalization.coeffs]
+    return _WeightTemplate(
+        weights,
+        tuple(cells),
+        normalization,
+        _IntRow(("con", len(cells)), dict.fromkeys(names, 1), "=", 1, 1),
+        tuple((var, _ZERO) for var in names),
+        tuple(_IntRow(("lb", var), {var: -1}, "<=", 0, 1) for var in names),
     )
-    rows = [(name, coeffs, p) for (name, coeffs), p in zip(cells, box.probs)]
-    return weights, rows, normalization, lower
+
+
+def _template(box: Box, points: tuple[tuple[str, Box], ...]) -> _WeightTemplate:
+    points_key = tuple((name, vert.int_view) for name, vert in points)
+    return _weight_template((box.input_arity, box.output_arity), points_key)
 
 
 def membership_lp(box: Box, points: tuple[tuple[str, Box], ...]) -> LinearProgram:
-    """Feasibility LP: box = sum of weights over ``points``, weights on the simplex."""
-    weights, cells, normalization, lower = _weight_rows(box, points)
-    constraints = [Constraint(coeffs, "=", target, name=name) for name, coeffs, target in cells]
-    constraints.append(normalization)
-    return LinearProgram(variables=weights, constraints=constraints, lower=lower)
+    """Feasibility LP: box = sum of weights over ``points``, weights on the simplex.
+
+    Row k is the cell template with the box entry p as right-hand side,
+    over the least common denominator of the weight terms and p.
+    """
+    template = _template(box, points)
+    constraints = []
+    rows = []
+    for k, ((name, terms, names, nums, wden), p) in enumerate(zip(template.cells, box.probs)):
+        pd = p.denominator
+        den = lcm(wden, pd)
+        m = den // wden
+        constraints.append(Constraint._trusted(terms, "=", p, name))
+        coeffs = {v: c * m for v, c in zip(names, nums)}
+        rows.append(_IntRow(("con", k), coeffs, "=", p.numerator * (den // pd), den))
+    constraints.append(template.normalization)
+    rows.append(template.normalization_row)
+    rows.extend(template.lower_rows)
+    return LinearProgram._trusted(
+        template.weights, tuple(constraints), None, "max", template.lower, (), tuple(rows)
+    )
 
 
 @dataclass(frozen=True)
@@ -174,20 +217,44 @@ class AntiRobustnessResult:
     outcome: LPOutcome
 
 
+_Q_LOWER = (("q", _ZERO),)
+_Q_LOWER_ROW = (_IntRow(("lb", "q"), {"q": -1}, "<=", 0, 1),)
+_Q_OBJECTIVE = (("q", F(1)),)
+
+
 def anti_robustness_lp(box: Box, points: tuple[tuple[str, Box], ...]) -> LinearProgram:
-    weights, cells, normalization, lower = _weight_rows(box, points)
+    """max q subject to sum(w_i v_i) - q*box >= 0 entrywise and sum(w_i) = 1.
+
+    Row k is the cell template with the term ``("q", -p)`` put first when
+    the box entry p is nonzero, negated to ``<=`` form over the least
+    common denominator of the weight terms and p.
+    """
+    template = _template(box, points)
     constraints = []
-    for name, coeffs, target in cells:
-        if target:
-            coeffs += (("q", -target),)
-        constraints.append(Constraint(coeffs, ">=", F(0), name=name))
-    constraints.append(normalization)
-    return LinearProgram(
-        variables=("q",) + weights,
-        constraints=constraints,
-        objective={"q": F(1)},
-        sense="max",
-        lower=(("q", F(0)),) + lower,
+    rows = []
+    for k, ((name, terms, names, nums, wden), p) in enumerate(zip(template.cells, box.probs)):
+        pd = p.denominator
+        den = lcm(wden, pd)
+        m = den // wden
+        if p:
+            constraints.append(Constraint._trusted((("q", -p),) + terms, ">=", _ZERO, name))
+            coeffs = {"q": p.numerator * (den // pd)}
+        else:
+            constraints.append(Constraint._trusted(terms, ">=", _ZERO, name))
+            coeffs = {}
+        coeffs.update(zip(names, [-c * m for c in nums]))
+        rows.append(_IntRow(("con", k), coeffs, "<=", 0, den))
+    constraints.append(template.normalization)
+    rows.append(template.normalization_row)
+    rows.extend(_Q_LOWER_ROW + template.lower_rows)
+    return LinearProgram._trusted(
+        ("q",) + template.weights,
+        tuple(constraints),
+        _Q_OBJECTIVE,
+        "max",
+        _Q_LOWER + template.lower,
+        (),
+        tuple(rows),
     )
 
 

@@ -31,6 +31,16 @@ side, so the row reads ``sum(c/den * v) <relation> rhs/den``.  The solver
 builds its tableau from these rows and ``check_witness`` tests them by
 integer cross-multiplication; neither converts a row back to Fractions.
 Certificate entries must be ``int`` or ``Fraction``; anything else fails.
+
+``LinearProgram(...)`` and ``Constraint(...)`` validate their input and
+derive the integer rows.  ``LinearProgram._trusted`` and
+``Constraint._trusted`` take every field as given, with no check; the
+weight-LP builders in ``polytope`` use them to patch one box into
+per-vertex-set row templates.  They rely on the caller passing exactly what the public
+constructors would store: coefficient terms nonzero, exact and sorted by
+variable name, every variable known and named once, bounds sorted, and
+``int_rows`` equal integer for integer to what the validating
+constructor derives from the constraints and bounds.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ RELATIONS = ("<=", ">=", "=")
 
 _GCD_BITS = 64  # reduce a row by its gcd once the denominator outgrows this
 _MAX_PIVOTS = 2_000_000
+_ZERO = Fraction(0)
 
 
 class MalformedLP(Exception):
@@ -84,6 +95,13 @@ class Constraint:
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "rhs", as_fraction(rhs))
         object.__setattr__(self, "name", name)
+
+    @classmethod
+    def _trusted(cls, coeffs, relation, rhs, name) -> Constraint:
+        """A constraint whose terms are already sorted, nonzero and exact; no check."""
+        con = object.__new__(cls)
+        vars(con).update(coeffs=coeffs, relation=relation, rhs=rhs, name=name)
+        return con
 
 
 @dataclass(frozen=True)
@@ -154,6 +172,21 @@ class LinearProgram:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "int_rows", _integer_rows(constraints, lower, upper))
+
+    @classmethod
+    def _trusted(cls, variables, constraints, objective, sense, lower, upper, int_rows):
+        """An LP from fields already in validated form, ``int_rows`` included; no check."""
+        lp = object.__new__(cls)
+        vars(lp).update(
+            variables=variables,
+            constraints=constraints,
+            objective=objective,
+            sense=sense,
+            lower=lower,
+            upper=upper,
+            int_rows=int_rows,
+        )
+        return lp
 
 
 @dataclass(frozen=True)
@@ -556,20 +589,32 @@ class _Simplex:
                 values[self.basis[i]] = Fraction(self.rows[i][rhs_col], self.dens[i])
         return values
 
-    def row_multipliers(self, zname: str, art_cost: int) -> list[Fraction]:
-        """y_i = cost(init col of row i) - reduced cost(init col of row i)."""
+    def multipliers(self, zname: str, art_cost: int) -> dict[tuple, Fraction]:
+        """Nonzero multipliers of the normalized rows, read off the ``zname`` row.
+
+        Canonical row i gets ``sigma_i * (z[col] - art_cost)`` for its
+        initial basic column (its artificial, else its slack), in the
+        row's normalized orientation; a shifted or flipped variable's bound
+        row gets its column's reduced cost.  Each is an integer numerator
+        over the ``zname`` row's denominator; one ``Fraction`` is built per
+        nonzero.
+        """
         zrow = getattr(self, zname)
         zden = getattr(self, zname + "_den")
-        out = []
-        for i in range(self.m):
-            if i in self.art_of_row:
-                col = self.art_of_row[i]
-                base_cost = art_cost
-            else:
-                col = self.slack_of_row[i]
-                base_cost = 0
-            out.append(base_cost - Fraction(zrow[col], zden))
-        return out
+        base = art_cost * zden
+        canon = self.canon
+        y: dict[tuple, Fraction] = {}
+        for i, key in enumerate(canon.keys):
+            art = self.art_of_row.get(i)
+            num = zrow[self.slack_of_row[i]] if art is None else zrow[art] - base
+            if num:
+                y[key] = Fraction(num if self.sigma[i] > 0 else -num, zden)
+        for var, cols in canon.col_of_var.items():
+            kind = canon.columns[cols[0]].kind
+            num = zrow[cols[0]]
+            if num and kind in ("shift", "flip"):
+                y[("lb" if kind == "shift" else "ub", var)] = Fraction(num, zden)
+        return y
 
 
 # ---------------------------------------------------------------------------
@@ -580,42 +625,15 @@ class _Simplex:
 def _witness_from_columns(canon: _Canonical, values: dict[int, Fraction]) -> dict[str, Fraction]:
     witness = {}
     for var, cols in canon.col_of_var.items():
-        kind = canon.columns[cols[0]].kind
-        if kind == "shift":
-            witness[var] = canon.columns[cols[0]].offset + values.get(cols[0], Fraction(0))
-        elif kind == "flip":
-            witness[var] = canon.columns[cols[0]].offset - values.get(cols[0], Fraction(0))
+        column = canon.columns[cols[0]]
+        value = values.get(cols[0], _ZERO)
+        if column.kind == "shift":
+            witness[var] = column.offset + value if column.offset else value
+        elif column.kind == "flip":
+            witness[var] = column.offset - value
         else:
-            witness[var] = values.get(cols[0], Fraction(0)) - values.get(
-                cols[1], Fraction(0)
-            )
+            witness[var] = value - values.get(cols[1], _ZERO)
     return witness
-
-
-def _translate_multipliers(
-    canon: _Canonical,
-    simplex: _Simplex,
-    y_canon: list[Fraction],
-    reduced_cost,
-) -> dict[tuple, Fraction]:
-    """Map canonical-row duals plus column reduced costs to normalized keys."""
-    y_norm: dict[tuple, Fraction] = {}
-    for i, key in enumerate(canon.keys):
-        value = -simplex.sigma[i] * y_canon[i]
-        if value != 0:
-            y_norm[key] = value
-    # bound multipliers from the reduced costs of the transformed columns
-    for var, cols in canon.col_of_var.items():
-        kind = canon.columns[cols[0]].kind
-        if kind == "shift":
-            mu = reduced_cost(cols[0])
-            if mu != 0:
-                y_norm[("lb", var)] = mu
-        elif kind == "flip":
-            nu = reduced_cost(cols[0])
-            if nu != 0:
-                y_norm[("ub", var)] = nu
-    return y_norm
 
 
 def solve(lp: LinearProgram) -> LPOutcome:
@@ -630,13 +648,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
         if status != "optimal":  # phase-1 objective is bounded below by 0
             raise RuntimeError("phase 1 cannot be unbounded")
         if simplex.phase1_value() > 0:
-            y_canon = simplex.row_multipliers("z1", art_cost=1)
-
-            def p1_reduced(col: int) -> Fraction:
-                return Fraction(simplex.z1[col], simplex.z1_den)
-
-            farkas = _translate_multipliers(canon, simplex, y_canon, p1_reduced)
-            return LPOutcome(status="infeasible", farkas=farkas)
+            return LPOutcome(status="infeasible", farkas=simplex.multipliers("z1", art_cost=1))
         simplex.cost_rows = ["z2"]  # nothing reads z1 after phase 1
         simplex.drive_out_artificials()
 
@@ -645,20 +657,11 @@ def solve(lp: LinearProgram) -> LPOutcome:
         if status == "unbounded":
             return LPOutcome(status="unbounded")
 
-    values = simplex.column_values()
-    witness = _witness_from_columns(canon, values)
+    witness = _witness_from_columns(canon, simplex.column_values())
     objective_value = sum(
         (c * witness[v] for v, c in lp.objective or ()), Fraction(0)
     )
-    y_canon = simplex.row_multipliers("z2", art_cost=0)
-
-    def p2_reduced(col: int) -> Fraction:
-        return Fraction(simplex.z2[col], simplex.z2_den)
-
-    if lp.objective is None:
-        dual: dict[tuple, Fraction] = {}
-    else:
-        dual = _translate_multipliers(canon, simplex, y_canon, p2_reduced)
+    dual = {} if lp.objective is None else simplex.multipliers("z2", art_cost=0)
     return LPOutcome(
         status="optimal",
         witness=witness,

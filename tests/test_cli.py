@@ -236,6 +236,15 @@ class TestVerifyCertRejectsMalformed:
         assert main(["verify-cert", str(cert_path)]) == 1
         assert "FAILED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ['[[{"kind": "scan"}]]', "5", "null"])
+    def test_non_object_certificate_exits_one(self, tmp_path, capsys, text):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(text)
+        assert main(["verify-cert", str(cert_path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAILED" in out
+        assert "certificate is not a JSON object" in out
+
     def test_empty_grid_scan_certificate_verifies(self, tmp_path):
         cert_path = tmp_path / "empty.json"
         args = argparse.Namespace(alpha_grid=[], json=str(cert_path), full=False)

@@ -23,6 +23,7 @@ from boxcert.polytope import (
     UnsupportedShape,
     anti_robustness,
     anti_robustness_closed_form,
+    anti_robustness_lp,
     halfspace_body_equality_check,
     hyperplane_locality_check,
     lr_membership,
@@ -30,7 +31,7 @@ from boxcert.polytope import (
     ray_intersection,
     ray_points,
 )
-from boxcert.ratlp import check_witness, solve
+from boxcert.ratlp import Constraint, LinearProgram, check_witness, solve
 from boxcert.sampling import (
     random_ns_box,
     random_ns_box_with_min_beta,
@@ -317,3 +318,88 @@ class TestMonotonicityQuick:
                     anti_robustness(twirl(box, r, s)).value
                     == anti_robustness(box).value
                 )
+
+
+def reference_weight_lp(box, points, anti):
+    """The weight LP built row by row through the validating constructors."""
+    weights = [f"w:{name}" for name, _ in points]
+    constraints = []
+    cells = itertools.product(box.input_tuples(), box.output_tuples())
+    for k, (x, a) in enumerate(cells):
+        name = "cell:%s|%s" % ("".join(map(str, a)), "".join(map(str, x)))
+        coeffs = {w: vertex.probs[k] for w, (_, vertex) in zip(weights, points)}
+        p = box.probs[k]
+        if anti:
+            coeffs["q"] = -p
+            constraints.append(Constraint(coeffs, ">=", 0, name=name))
+        else:
+            constraints.append(Constraint(coeffs, "=", p, name=name))
+    constraints.append(Constraint({w: 1 for w in weights}, "=", 1, name="normalization"))
+    lower = {w: 0 for w in weights}
+    if anti:
+        return LinearProgram(
+            ["q"] + weights, constraints, objective={"q": 1}, sense="max", lower={"q": 0, **lower}
+        )
+    return LinearProgram(weights, constraints, lower=lower)
+
+
+class TestWeightTemplates:
+    """Template-built weight LPs equal the LPs the validating constructors build."""
+
+    @staticmethod
+    def assert_same(box, points, solve_too=False):
+        for build, anti in ((membership_lp, False), (anti_robustness_lp, True)):
+            lp = build(box, points)
+            ref = reference_weight_lp(box, points, anti)
+            assert lp == ref
+            assert repr(lp) == repr(ref)
+            assert lp.int_rows == ref.int_rows
+            assert repr(lp.int_rows) == repr(ref.int_rows)
+            for con in lp.constraints:
+                names = [var for var, _ in con.coeffs]
+                assert names == sorted(set(names))
+                assert all(isinstance(c, Fraction) and c != 0 for _, c in con.coeffs)
+            if solve_too:
+                assert repr(solve(lp)) == repr(solve(ref))
+
+    def test_seeded_ns_boxes(self):
+        rng = rng_from_seed(47)
+        points = ns_vertices_2x2()[:16]
+        for k in range(20):
+            box = random_ns_box(rng) if k % 2 else random_ns_box_with_min_beta(rng, 1, 0, 1)
+            self.assert_same(box, points, solve_too=k < 6)
+
+    def test_boxes_with_zero_entries(self):
+        points = ns_vertices_2x2()[:16]
+        boxes = [
+            pr_box(0, 1, 1),
+            deterministic_vertices()[5],
+            mix(F(1, 3), pr_box(0, 0, 0), deterministic_vertices()[0]),
+        ]
+        for box in boxes:
+            assert 0 in box.probs
+            self.assert_same(box, points, solve_too=True)
+            lp = anti_robustness_lp(box, points)
+            rows_without_q = [con for con in lp.constraints[:16] if con.coeffs[0][0] != "q"]
+            assert len(rows_without_q) == box.probs.count(0)
+
+    def test_twirled_boxes(self):
+        rng = rng_from_seed(48)
+        points = ns_vertices_2x2()[:16]
+        for r, s in itertools.product((0, 1), repeat=2):
+            self.assert_same(twirl(random_ns_box(rng), r, s), points, solve_too=True)
+
+    def test_points_out_of_name_order(self):
+        # terms are sorted by variable name, not by the order of the points
+        rng = rng_from_seed(50)
+        points = tuple(reversed(ns_vertices_2x2()))
+        for _ in range(3):
+            self.assert_same(random_ns_box(rng), points, solve_too=True)
+
+    def test_ray_point_sets(self):
+        rng = rng_from_seed(49)
+        for r, s, t in ((0, 0, 0), (1, 1, 0)):
+            points = ray_points(r, s, t)
+            assert any(vertex.int_view[1] > 2 for _, vertex in points)  # rational coefficients
+            for k in range(4):
+                self.assert_same(random_ns_box_with_min_beta(rng, r, s, t), points, solve_too=k < 2)
