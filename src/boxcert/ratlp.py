@@ -99,8 +99,12 @@ class Constraint:
     @classmethod
     def _trusted(cls, coeffs, relation, rhs, name) -> Constraint:
         """A constraint whose terms are already sorted, nonzero and exact; no check."""
+        # set attributes one by one: vars(con) would build a __dict__ per instance
         con = object.__new__(cls)
-        vars(con).update(coeffs=coeffs, relation=relation, rhs=rhs, name=name)
+        object.__setattr__(con, "coeffs", coeffs)
+        object.__setattr__(con, "relation", relation)
+        object.__setattr__(con, "rhs", rhs)
+        object.__setattr__(con, "name", name)
         return con
 
 
@@ -177,15 +181,13 @@ class LinearProgram:
     def _trusted(cls, variables, constraints, objective, sense, lower, upper, int_rows):
         """An LP from fields already in validated form, ``int_rows`` included; no check."""
         lp = object.__new__(cls)
-        vars(lp).update(
-            variables=variables,
-            constraints=constraints,
-            objective=objective,
-            sense=sense,
-            lower=lower,
-            upper=upper,
-            int_rows=int_rows,
-        )
+        object.__setattr__(lp, "variables", variables)
+        object.__setattr__(lp, "constraints", constraints)
+        object.__setattr__(lp, "objective", objective)
+        object.__setattr__(lp, "sense", sense)
+        object.__setattr__(lp, "lower", lower)
+        object.__setattr__(lp, "upper", upper)
+        object.__setattr__(lp, "int_rows", int_rows)
         return lp
 
 
