@@ -3,15 +3,21 @@
 A box is a family of probability distributions P(a|x), one distribution
 over output tuples ``a`` per input tuple ``x``.  Entries are stored flat
 in canonical order: input tuples vary slowest (lexicographic), output
-tuples fastest, so serialized tables are byte-stable.
+tuples fastest, so serialized tables are byte-stable.  ``cells`` lists
+the ``(a, x)`` pair of each entry in that order; every other module
+takes the order from it.
 
 Every box also has an integer view, ``Box.int_view``: the entries'
-numerators over their least common denominator.  Mixtures, relabelings,
-twirls, the non-signalling check and the CHSH correlators compute on it.
-A box that such an operation builds from validated boxes and checked
-weights is valid by construction, so it comes back through
-``Box._trusted``, which skips re-validation; every other box, and every
-box read from outside, goes through the validating ``Box(...)``.
+numerators over their least common denominator.  Mixtures, products,
+party permutations, marginals, relabelings, twirls, the non-signalling
+check and the CHSH correlators compute on it.  A box that such an
+operation builds from validated boxes is valid by construction, so it
+comes back through ``Box._trusted``, which skips re-validation: a convex
+combination with checked weights, a product of boxes, a bijection of
+cells that maps each input block onto an input block (or a mixture of
+such), and the marginal of a box just checked non-signalling across the
+cut.  Every other box, and every box read from outside, goes through the
+validating ``Box(...)``.
 """
 
 from __future__ import annotations
@@ -104,12 +110,29 @@ class NSReport:
             raise BoxError("fully_ns flag inconsistent with violation list")
 
 
-def _rank(tup, arity) -> int:
-    """Position of ``tup`` among the tuples over ``arity`` in lexicographic order."""
-    r = 0
-    for v, k in zip(tup, arity):
-        r = r * k + v
-    return r
+@cache
+def cells(input_arity: tuple[int, ...], output_arity: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The ``(a, x)`` pair of each flat entry, in storage order: ``x`` slowest, ``a`` fastest."""
+    return tuple(
+        (a, x)
+        for x in itertools.product(*map(range, input_arity))
+        for a in itertools.product(*map(range, output_arity))
+    )
+
+
+@cache
+def _positions(input_arity, output_arity) -> dict[tuple[tuple, tuple], int]:
+    """The flat index of each ``(a, x)`` pair; the inverse of ``cells``."""
+    return {cell: k for k, cell in enumerate(cells(input_arity, output_arity))}
+
+
+def cell_map(shape, source_shape, source) -> tuple[int, ...]:
+    """Per cell ``(a, x)`` of ``shape``, the flat index of ``source(a, x)`` in ``source_shape``.
+
+    Shapes are ``(input_arity, output_arity)`` pairs; the result is in storage order.
+    """
+    position = _positions(*source_shape)
+    return tuple(position[source(a, x)] for a, x in cells(*shape))
 
 
 @dataclass(frozen=True)
@@ -135,18 +158,17 @@ class Box:
             raise ShapeMismatch(
                 f"table has {len(probs)} entries, expected {n_in * n_out}"
             )
-        for x_rank, x in enumerate(itertools.product(*(range(k) for k in ins))):
-            total = Fraction(0)
-            base = x_rank * n_out
-            for a_rank, a in enumerate(itertools.product(*(range(k) for k in outs))):
-                p = probs[base + a_rank]
+        cell = cells(ins, outs)
+        for start in range(0, len(probs), n_out):
+            block = probs[start : start + n_out]
+            for k, p in enumerate(block, start):
                 if not isinstance(p, Fraction):
-                    raise BoxError(f"entry P{a}|{x} is not a Fraction: {p!r}")
+                    raise BoxError(f"entry P{cell[k][0]}|{cell[k][1]} is not a Fraction: {p!r}")
                 if p < 0:
-                    raise NegativeEntry(a, x, p)
-                total += p
+                    raise NegativeEntry(*cell[k], p)
+            total = sum(block)
             if total != 1:
-                raise NotNormalized(x, total)
+                raise NotNormalized(cell[start][1], total)
 
     @classmethod
     def _trusted(cls, input_arity, output_arity, nums, den) -> Box:
@@ -154,9 +176,12 @@ class Box:
 
         Only for results whose validity follows from already-checked
         inputs: a convex combination of validated boxes of one shape with
-        checked weights, or a mixture of output bijections within each
-        input block.  Each Fraction is built once, and the integer view is
-        stored in least form.
+        checked weights; a product of validated boxes; a bijection of
+        cells that maps each input block onto an input block, or a
+        mixture of such with positive weights; or the marginal of a
+        validated box just checked non-signalling across the cut.  Each
+        Fraction is built once, and the integer view is stored in least
+        form.
         """
         g = gcd(den, *nums)
         if g > 1:
@@ -195,9 +220,7 @@ class Box:
         return itertools.product(*(range(k) for k in self.output_arity))
 
     def index(self, outputs, inputs) -> int:
-        return _rank(inputs, self.input_arity) * self.n_outputs + _rank(
-            outputs, self.output_arity
-        )
+        return _positions(self.input_arity, self.output_arity)[tuple(outputs), tuple(inputs)]
 
     def prob(self, outputs, inputs) -> Fraction:
         """P(outputs | inputs)."""
@@ -228,11 +251,14 @@ def make_box(party_count, input_arity, output_arity, entries) -> Box:
             f"party_count {party_count} does not match arity lists of length "
             f"{len(ins)}/{len(outs)}"
         )
-    n_in, n_out = prod(ins), prod(outs)
     if isinstance(entries, dict):
-        flat = [Fraction(0)] * (n_in * n_out)
+        position = _positions(ins, outs)
+        flat = [_ZERO] * len(position)
         for (a, x), value in entries.items():
-            flat[_rank(x, ins) * n_out + _rank(a, outs)] = as_fraction(value)
+            cell = tuple(a), tuple(x)
+            if cell not in position:
+                raise ShapeMismatch(f"no cell P{cell[0]}|{cell[1]} in a table of this shape")
+            flat[position[cell]] = as_fraction(value)
         probs = tuple(flat)
     else:
         probs = tuple(as_fraction(v) for v in entries)
@@ -249,12 +275,11 @@ def pr_box(r: int, s: int, t: int) -> Box:
 @cache
 def _pr_box(r: int, s: int, t: int) -> Box:
     half = Fraction(1, 2)
-    probs = []
-    for x, y in itertools.product((0, 1), repeat=2):
-        target = (x & y) ^ (r & x) ^ (s & y) ^ t
-        for a, b in itertools.product((0, 1), repeat=2):
-            probs.append(half if (a ^ b) == target else Fraction(0))
-    return Box((2, 2), (2, 2), tuple(probs))
+    probs = [
+        half if (a ^ b) == (x & y) ^ (r & x) ^ (s & y) ^ t else _ZERO
+        for (a, b), (x, y) in cells((2, 2), (2, 2))
+    ]
+    return Box((2, 2), (2, 2), probs)
 
 
 def deterministic_vertices() -> list[Box]:
@@ -264,13 +289,11 @@ def deterministic_vertices() -> list[Box]:
     """
     boxes = []
     for f0, f1, g0, g1 in itertools.product((0, 1), repeat=4):
-        f = (f0, f1)
-        g = (g0, g1)
-        probs = []
-        for x, y in itertools.product((0, 1), repeat=2):
-            for a, b in itertools.product((0, 1), repeat=2):
-                probs.append(Fraction(1) if (a == f[x] and b == g[y]) else Fraction(0))
-        boxes.append(Box((2, 2), (2, 2), tuple(probs)))
+        f, g = (f0, f1), (g0, g1)
+        probs = [
+            Fraction(int(a == f[x] and b == g[y])) for (a, b), (x, y) in cells((2, 2), (2, 2))
+        ]
+        boxes.append(Box((2, 2), (2, 2), probs))
     return boxes
 
 
@@ -326,22 +349,44 @@ def b_alpha(alpha) -> Box:
     return mix(alpha, pr_box(0, 0, 0), pr_box(0, 0, 1))
 
 
+def _gather(box: Box, shape, terms) -> Box:
+    """The box of ``shape`` with entry i = ``sum_j w_j * box[source_j[i]] / sum_j w_j``.
+
+    For ``(w_j, source_j)`` in ``terms``: positive integer weights, and
+    sources that map each input block bijectively onto an input block.
+    """
+    nums, den = box.int_view
+    acc = [0] * len(nums)
+    total = 0
+    for w, source in terms:
+        total += w
+        acc = [s + w * nums[k] for s, k in zip(acc, source)]
+    return Box._trusted(*shape, acc, total * den)
+
+
 def tensor(box_a: Box, box_b: Box) -> Box:
-    """Product box on the concatenated party lists."""
+    """Product box on the concatenated party lists: products of input blocks."""
+    a_nums, a_den = box_a.int_view
+    b_nums, b_den = box_b.int_view
+    blocks = lambda nums, n: [nums[i : i + n] for i in range(0, len(nums), n)]
+    nums = [
+        u * v
+        for block_a in blocks(a_nums, box_a.n_outputs)
+        for block_b in blocks(b_nums, box_b.n_outputs)
+        for u in block_a
+        for v in block_b
+    ]
     ins = box_a.input_arity + box_b.input_arity
     outs = box_a.output_arity + box_b.output_arity
-    n_out_b = box_b.n_outputs
-    probs = []
-    for xa in box_a.input_tuples():
-        for xb in box_b.input_tuples():
-            for aa in box_a.output_tuples():
-                pa = box_a.prob(aa, xa)
-                if pa == 0:
-                    probs.extend([Fraction(0)] * n_out_b)
-                    continue
-                for ab in box_b.output_tuples():
-                    probs.append(pa * box_b.prob(ab, xb))
-    return Box(ins, outs, tuple(probs))
+    return Box._trusted(ins, outs, nums, a_den * b_den)
+
+
+@cache
+def _party_map(input_arity, output_arity, new_order):
+    """The permuted shape and, per cell of it, the index of its source cell."""
+    shape = tuple(input_arity[j] for j in new_order), tuple(output_arity[j] for j in new_order)
+    old = lambda t: tuple(v for _, v in sorted(zip(new_order, t)))
+    return shape, cell_map(shape, (input_arity, output_arity), lambda a, x: (old(a), old(x)))
 
 
 def permute_parties(box: Box, new_order) -> Box:
@@ -349,18 +394,8 @@ def permute_parties(box: Box, new_order) -> Box:
     new_order = tuple(new_order)
     if sorted(new_order) != list(range(box.party_count)):
         raise ShapeMismatch(f"new_order {new_order} is not a permutation of the parties")
-    ins = tuple(box.input_arity[j] for j in new_order)
-    outs = tuple(box.output_arity[j] for j in new_order)
-    inverse = [0] * len(new_order)
-    for new_pos, old_pos in enumerate(new_order):
-        inverse[old_pos] = new_pos
-    probs = []
-    for x_new in itertools.product(*(range(k) for k in ins)):
-        x_old = tuple(x_new[inverse[j]] for j in range(box.party_count))
-        for a_new in itertools.product(*(range(k) for k in outs)):
-            a_old = tuple(a_new[inverse[j]] for j in range(box.party_count))
-            probs.append(box.prob(a_old, x_old))
-    return Box(ins, outs, tuple(probs))
+    shape, source = _party_map(box.input_arity, box.output_arity, new_order)
+    return _gather(box, shape, ((1, source),))
 
 
 @cache
@@ -370,31 +405,17 @@ def _marginal_groups(input_arity, output_arity, keep: tuple[int, ...]):
     Groups come in the order (a_keep, x_keep, x_rest) that violations are
     reported in; each is a tuple of ``(x_rest, indices)``.
     """
-    n = len(input_arity)
-    rest = tuple(i for i in range(n) if i not in keep)
-    cut = Cut(frozenset(keep), frozenset(rest))
-    n_out = prod(output_arity)
-    ranges = lambda arity, parties: itertools.product(*(range(arity[i]) for i in parties))
-
-    def full(keep_values, rest_values):
-        values = [0] * n
-        for i, v in zip(keep + rest, keep_values + rest_values):
-            values[i] = v
-        return values
-
-    groups = []
-    for a_keep in ranges(output_arity, keep):
-        for x_keep in ranges(input_arity, keep):
-            group = []
-            for x_rest in ranges(input_arity, rest):
-                base = _rank(full(x_keep, x_rest), input_arity) * n_out
-                indices = tuple(
-                    base + _rank(full(a_keep, a_rest), output_arity)
-                    for a_rest in ranges(output_arity, rest)
-                )
-                group.append((x_rest, indices))
-            groups.append(tuple(group))
-    return cut, tuple(groups)
+    rest = tuple(i for i in range(len(input_arity)) if i not in keep)
+    pick = lambda values, parties: tuple(values[i] for i in parties)
+    groups: dict = {}
+    # storage order meets each group's x_rest, and each x_rest's a_rest, lexicographically
+    for k, (a, x) in enumerate(cells(input_arity, output_arity)):
+        group = groups.setdefault((pick(a, keep), pick(x, keep)), {})
+        group.setdefault(pick(x, rest), []).append(k)
+    return Cut(frozenset(keep), frozenset(rest)), tuple(
+        tuple((x_rest, tuple(indices)) for x_rest, indices in group.items())
+        for _, group in sorted(groups.items())
+    )
 
 
 def _one_sided_violations(box: Box, keep: tuple[int, ...]) -> list[NSViolation]:
@@ -454,34 +475,22 @@ def marginal(box: Box, keep) -> Box:
 
     Requires the box to be non-signalling in the cut keep|rest (both
     directions); otherwise the marginal would depend on the discarded
-    parties' inputs and MarginalIllDefined is raised.
+    parties' inputs and MarginalIllDefined is raised.  Each entry is the
+    sum the cut check has just compared, at the first input of the rest.
     """
     keep = tuple(sorted(set(keep)))
     if not keep or any(i not in range(box.party_count) for i in keep):
         raise ShapeMismatch(f"keep set {keep} invalid for {box.party_count} parties")
-    rest = tuple(i for i in range(box.party_count) if i not in keep)
-    if not rest:
+    if len(keep) == box.party_count:
         return box
-    cut = Cut(frozenset(keep), frozenset(rest))
+    cut, groups = _marginal_groups(box.input_arity, box.output_arity, keep)
     ok, violations = is_ns_in_cut(box, cut)
     if not ok:
         raise MarginalIllDefined(cut, violations)
-    keep_in = tuple(box.input_arity[i] for i in keep)
-    keep_out = tuple(box.output_arity[i] for i in keep)
-    rest_out = [box.output_arity[i] for i in rest]
-    probs = []
-    for x_keep in itertools.product(*(range(k) for k in keep_in)):
-        x_full = [0] * box.party_count
-        for i, v in zip(keep, x_keep):
-            x_full[i] = v
-        for a_keep in itertools.product(*(range(k) for k in keep_out)):
-            total = Fraction(0)
-            for a_rest in itertools.product(*(range(k) for k in rest_out)):
-                a_full = [0] * box.party_count
-                for i, v in zip(keep, a_keep):
-                    a_full[i] = v
-                for i, v in zip(rest, a_rest):
-                    a_full[i] = v
-                total += box.prob(tuple(a_full), tuple(x_full))
-            probs.append(total)
-    return Box(keep_in, keep_out, tuple(probs))
+    nums, den = box.int_view
+    # each group's first x_rest; groups run a_keep slowest, the marginal x_keep slowest
+    sums = [sum(map(nums.__getitem__, indices)) for (_, indices), *_ in groups]
+    ins = tuple(box.input_arity[i] for i in keep)
+    outs = tuple(box.output_arity[i] for i in keep)
+    n_in = prod(ins)
+    return Box._trusted(ins, outs, [s for x in range(n_in) for s in sums[x::n_in]], den)

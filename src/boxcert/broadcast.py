@@ -36,9 +36,11 @@ from .box import (
     BoxError,
     WrongShape,
     b_alpha,
+    cells,
     convex_combination,
     is_fully_ns,
     marginal,
+    permute_parties,
     uniform_box,
 )
 from .polytope import anti_robustness
@@ -219,23 +221,15 @@ _WITHIN_COPY = tuple(
 )
 _CROSS_COPY = tuple(S for S in _SUBSETS if S not in _WITHIN_COPY)
 # the 256 cells (a, x) of a 4-party binary table, in flat box order
-_CELLS = tuple(
-    (a, x)
-    for x in itertools.product((0, 1), repeat=4)
-    for a in itertools.product((0, 1), repeat=4)
-)
+_CELLS = cells((2, 2, 2, 2), (2, 2, 2, 2))
 _CROSS_SLOTS = tuple(
     (S, x_s) for S in _CROSS_COPY for x_s in itertools.product((0, 1), repeat=len(S))
 )
 
 
-def _copy_image(t: tuple) -> tuple:
-    """Per-party values (outputs or inputs) with the two copies exchanged."""
-    return tuple(t[j] for j in COPY_SWAP)
-
-
 def _cell_image(cell: tuple) -> tuple:
-    return tuple(map(_copy_image, cell))
+    """The cell (a, x) with the two copies exchanged in both tuples."""
+    return tuple(tuple(t[j] for j in COPY_SWAP) for t in cell)
 
 
 def _slot_image(slot: tuple) -> tuple:
@@ -284,17 +278,11 @@ _SLOT_ORBITS = tuple(sorted(_orbits(_CROSS_SLOTS, _slot_image)))
 def _orbits_of_vertices() -> tuple[tuple[str, tuple[str, ...]], ...]:
     """Copy-swap orbits of the 576 product vertices, sorted by representative.
 
-    A vertex's partner is the vertex whose integer view is its own with
-    each cell's entry moved to the cell's image.
+    A vertex's partner is the vertex with the integer view of its copy swap.
     """
-    source = [_CELLS.index(_cell_image(cell)) for cell in _CELLS]
     lookup = dict(broadcast_local_vertices())
     name_of = {box.int_view: name for name, box in lookup.items()}
-
-    def partner(name: str) -> str:
-        nums, den = lookup[name].int_view
-        return name_of[tuple(nums[k] for k in source), den]
-
+    partner = lambda name: name_of[permute_parties(lookup[name], COPY_SWAP).int_view]
     return tuple(sorted(_orbits(lookup, partner)))
 
 

@@ -290,6 +290,7 @@ def _verify_hyperplane(data: dict, errors: list[str]) -> None:
     r, s, t = (int(b) for b in rst)
     apex = pr_box(r, s, t)
     lookup = dict(ns_vertices_2x2())
+    det_lookup = dict(ns_vertices_2x2()[:16])
     seen = set()
     for entry in data["result"]["points"]:
         name = entry["vertex"]
@@ -316,7 +317,6 @@ def _verify_hyperplane(data: dict, errors: list[str]) -> None:
             errors.append(f"{name}: certificate does not claim membership")
             continue
         weights = _weights_from_dict(entry["weights"])
-        det_lookup = dict(ns_vertices_2x2()[:16])
         if any(w < 0 for w in weights.values()) or sum(weights.values()) != 1:
             errors.append(f"{name}: membership weights not a convex combination")
             continue

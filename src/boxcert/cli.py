@@ -15,10 +15,9 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
 
 from .box import BoxError, is_fully_ns
-from .boxio import BoxFormatError, box_to_dict, load_box
+from .boxio import BoxFormatError, box_to_dict, load_box, save_box
 from .broadcast import BroadcastInstance, RangeError, broadcast_scan, classify_row
 from .certificates import (
     antirobustness_certificate,
@@ -157,9 +156,7 @@ def cmd_twirl(args) -> int:
     p = line_decomposition(image, r, s)
     print(f"line weight p = {format_rational_short(p)}")
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(box_to_dict(image), indent=2, sort_keys=True) + "\n"
-        )
+        save_box(image, args.json)
     return 0
 
 
@@ -263,6 +260,9 @@ def cmd_verify_cert(args) -> int:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
     items = data if isinstance(data, list) else [data]
+    if not items:
+        print("no certificates in file")
+        return 1
     all_ok = True
     for i, item in enumerate(items):
         ok, errors = verify_certificate(item)

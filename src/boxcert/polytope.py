@@ -17,14 +17,23 @@ Everything here reduces to exact LPs over named vertex sets:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from .box import Box, BoxError, Cut, convex_combination, is_fully_ns, mix, pr_box, uniform_box
+from .box import (
+    Box,
+    BoxError,
+    Cut,
+    cells,
+    convex_combination,
+    is_fully_ns,
+    mix,
+    pr_box,
+    uniform_box,
+)
 from .chsh import CHSHValue, beta, beta_table, max_beta
 from .ratlp import Constraint, LinearProgram, LPOutcome, _IntRow, solve
 from .sampling import (
@@ -103,17 +112,15 @@ def _weight_template(shape, points_key) -> _WeightTemplate:
     ``points_key`` holds ``(name, int_view)`` per point, so the cache keys
     on exact integers rather than on Boxes, and hashing it is cheap.
     """
-    input_arity, output_arity = shape
     weights = tuple(f"w:{name}" for name, _ in points_key)
     # the validating constructor rejects repeated names, once per vertex set
     normalization = Constraint([(v, 1) for v in weights], "=", 1, name="normalization")
     by_name = sorted(zip(weights, (view for _, view in points_key)))
-    cells = []
-    ranges = lambda arity: itertools.product(*(range(k) for k in arity))
-    for k, (x, a) in enumerate(itertools.product(ranges(input_arity), ranges(output_arity))):
+    rows = []
+    for k, (a, x) in enumerate(cells(*shape)):
         terms = tuple((var, F(nums[k], den)) for var, (nums, den) in by_name if nums[k])
         wden = lcm(*(c.denominator for _, c in terms))
-        cells.append(
+        rows.append(
             (
                 _cell_name(a, x),
                 terms,
@@ -125,9 +132,9 @@ def _weight_template(shape, points_key) -> _WeightTemplate:
     names = [var for var, _ in normalization.coeffs]
     return _WeightTemplate(
         weights,
-        tuple(cells),
+        tuple(rows),
         normalization,
-        _IntRow(("con", len(cells)), dict.fromkeys(names, 1), "=", 1, 1),
+        _IntRow(("con", len(rows)), dict.fromkeys(names, 1), "=", 1, 1),
         tuple((var, _ZERO) for var in names),
         tuple(_IntRow(("lb", var), {var: -1}, "<=", 0, 1) for var in names),
     )

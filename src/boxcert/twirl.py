@@ -28,8 +28,10 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .box import Box, WrongShape, require_2x2
+from .box import Box, WrongShape, _gather, cell_map, cells, require_2x2
 from .rational import as_fraction
+
+_SHAPE = ((2, 2), (2, 2))
 
 
 @dataclass(frozen=True)
@@ -70,18 +72,18 @@ class RelabelingOp:
 def _source_index(*bits: int) -> tuple[int, ...]:
     """One tuple for each of the 32 relabelings, built on first use."""
     op = RelabelingOp(*bits)
-    index = []
-    for x, y, a, b in itertools.product((0, 1), repeat=4):
-        a0, b0, x0, y0 = op.source_event(a, b, x, y)
-        index.append(8 * x0 + 4 * y0 + 2 * a0 + b0)
-    return tuple(index)
+
+    def source(a, x):
+        a0, b0, x0, y0 = op.source_event(*a, *x)
+        return (a0, b0), (x0, y0)
+
+    return cell_map(_SHAPE, _SHAPE, source)
 
 
 def apply_relabeling(op: RelabelingOp, box: Box) -> Box:
     """The relabeled box; a bijection on the outputs of each input block keeps it valid."""
     require_2x2(box)
-    nums, den = box.int_view
-    return Box._trusted((2, 2), (2, 2), [nums[k] for k in op.source_index], den)
+    return _gather(box, _SHAPE, ((1, op.source_index),))
 
 
 @dataclass(frozen=True)
@@ -101,12 +103,7 @@ class TwirlChannel:
     def apply(self, box: Box) -> Box:
         """The average of the 8 relabeled boxes, summed over the integer view."""
         require_2x2(box)
-        nums, den = box.int_view
-        acc = [0] * 16
-        for op in self.members:
-            for i, k in enumerate(op.source_index):
-                acc[i] += nums[k]
-        return Box._trusted((2, 2), (2, 2), acc, 8 * den)
+        return _gather(box, _SHAPE, [(1, op.source_index) for op in self.members])
 
 
 def twirl(box: Box, r: int, s: int) -> Box:
@@ -117,22 +114,13 @@ def twirl(box: Box, r: int, s: int) -> Box:
 def line_decomposition(box: Box, r: int, s: int) -> Fraction | None:
     """Weight p with box = p*B_rs0 + (1-p)*B_rs1 exactly, or None if off the line."""
     require_2x2(box)
-    p = None
-    for x, y in itertools.product((0, 1), repeat=2):
-        target = (x & y) ^ (r & x) ^ (s & y)  # t = 0 correlation condition
-        for a, b in itertools.product((0, 1), repeat=2):
-            value = box.prob((a, b), (x, y))
-            if (a ^ b) == target:
-                if p is None:
-                    p = 2 * value
-                elif 2 * value != p:
-                    return None
-            else:
-                if p is not None and 2 * value != 1 - p:
-                    return None
-                if p is None:
-                    p = 1 - 2 * value
-    return p
+    nums, den = box.int_view
+    # every cell must give the same p: 2P on the t = 0 correlation, 1 - 2P off it
+    weights = {
+        2 * n if (a ^ b) == (x & y) ^ (r & x) ^ (s & y) else den - 2 * n
+        for n, ((a, b), (x, y)) in zip(nums, cells(*_SHAPE))
+    }
+    return Fraction(weights.pop(), den) if len(weights) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -152,16 +140,13 @@ class RelabelingMixture:
     def apply(self, box: Box) -> Box:
         """The weighted average of the relabeled boxes, summed over the integer view."""
         require_2x2(box)
-        nums, den = box.int_view
         scale = lcm(*(w.denominator for w in self.weights))
-        acc = [0] * 16
-        for w, op in zip(self.weights, self.ops):
-            if w == 0:
-                continue
-            f = w.numerator * (scale // w.denominator)
-            for i, k in enumerate(op.source_index):
-                acc[i] += f * nums[k]
-        return Box._trusted((2, 2), (2, 2), acc, scale * den)
+        terms = [
+            (w.numerator * (scale // w.denominator), op.source_index)
+            for w, op in zip(self.weights, self.ops)
+            if w
+        ]
+        return _gather(box, _SHAPE, terms)
 
 
 def line_transport(box: Box, r: int, s: int, t: int) -> Box:
@@ -171,9 +156,6 @@ def line_transport(box: Box, r: int, s: int, t: int) -> Box:
     B_000--B_001 line onto the B_rst--B_rs(1-t) line.
     """
     require_2x2(box)
-    probs = []
-    for x, y in itertools.product((0, 1), repeat=2):
-        for a, b in itertools.product((0, 1), repeat=2):
-            probs.append(box.prob((a ^ (r & x), b ^ (s & y) ^ t), (x, y)))
-    return Box((2, 2), (2, 2), tuple(probs))
+    source = lambda a, x: ((a[0] ^ (r & x[0]), a[1] ^ (s & x[1]) ^ t), x)
+    return _gather(box, _SHAPE, ((1, cell_map(_SHAPE, _SHAPE, source)),))
 

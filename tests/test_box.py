@@ -71,6 +71,13 @@ class TestMakeBox:
         with pytest.raises(ShapeMismatch):
             make_box(3, (2, 2), (2, 2), [F(1, 4)] * 16)
 
+    def test_cell_outside_the_table_rejected(self):
+        # (0, 2) would land on the zero entry of (1, 0) if ranked without a range check
+        entries = {((0, 0), x): F(1) for x in itertools.product((0, 1), repeat=2)}
+        entries[((0, 2), (0, 0))] = F(0)
+        with pytest.raises(ShapeMismatch, match="no cell"):
+            make_box(2, (2, 2), (2, 2), entries)
+
 
 class TestPRBox:
     def test_b000_entries(self):

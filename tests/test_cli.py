@@ -245,6 +245,12 @@ class TestVerifyCertRejectsMalformed:
         assert "FAILED" in out
         assert "certificate is not a JSON object" in out
 
+    def test_empty_list_exits_one(self, tmp_path, capsys):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text("[]\n")
+        assert main(["verify-cert", str(cert_path)]) == 1
+        assert capsys.readouterr().out == "no certificates in file\n"
+
     def test_empty_grid_scan_certificate_verifies(self, tmp_path):
         cert_path = tmp_path / "empty.json"
         args = argparse.Namespace(alpha_grid=[], json=str(cert_path), full=False)

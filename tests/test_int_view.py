@@ -1,16 +1,18 @@
 """The integer view of boxes and the operations that skip re-validation.
 
-Mixtures, relabelings and twirls of validated boxes return boxes built
-without re-validation.  These tests check every such result against the
-validating ``Box(...)`` built from the same entries, check the
-non-signalling report against a Fraction sweep kept here as reference,
+Mixtures, products, party permutations, marginals, relabelings and
+twirls of validated boxes return boxes built without re-validation.
+These tests check every such result against the validating ``Box(...)``
+built from the same entries, check the structural transforms and the
+non-signalling report against Fraction sweeps kept here as reference,
 and check that boxes read from outside are still validated.
 """
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -23,11 +25,15 @@ from boxcert.box import (
     NSReport,
     NSViolation,
     b_alpha,
+    cells,
     convex_combination,
     is_fully_ns,
     is_ns_in_cut,
+    marginal,
     mix,
+    permute_parties,
     pr_box,
+    tensor,
     uniform_box,
 )
 from boxcert.boxio import box_from_dict, box_to_dict
@@ -42,8 +48,14 @@ from boxcert.sampling import (
     rng_from_seed,
 )
 from boxcert.rational import RationalFormatError
-from boxcert.twirl import RelabelingMixture, TwirlChannel, apply_relabeling, twirl
-from boxcert.vertices import ns_vertices_2x2
+from boxcert.twirl import (
+    RelabelingMixture,
+    TwirlChannel,
+    apply_relabeling,
+    line_transport,
+    twirl,
+)
+from boxcert.vertices import broadcast_local_vertices, ns_vertices_2x2
 
 F = Fraction
 
@@ -142,12 +154,143 @@ class TestTrustedResults:
         assert_same_as_validated(random_ns_box(rng))
         assert_same_as_validated(anti_robustness(random_ns_box(rng)).local_witness)
 
+    def test_tensor(self):
+        for seed in self.SEEDS:
+            rng = rng_from_seed(seed)
+            assert_same_as_validated(tensor(random_box(rng), random_ns_box(rng)))
+            single = lambda: random_box(rng, parties=1, denominator=5 + seed)
+            assert_same_as_validated(tensor(tensor(single(), single()), single()))
+
+    def test_permute_parties(self):
+        for seed in self.SEEDS:
+            rng = rng_from_seed(seed)
+            order = rng.sample(range(3), 3)
+            assert_same_as_validated(permute_parties(random_box(rng, parties=3), order))
+
+    def test_marginal(self):
+        for seed in self.SEEDS:
+            rng = rng_from_seed(seed)
+            box = tensor(random_box(rng), random_box(rng, parties=1))
+            assert_same_as_validated(marginal(box, {0, 1}))
+            assert_same_as_validated(marginal(box, {2}))
+            assert_same_as_validated(marginal(random_ns_box(rng), {1}))
+
+    def test_line_transport(self):
+        for seed in self.SEEDS:
+            rng = rng_from_seed(seed)
+            r, s, t = (rng.randint(0, 1) for _ in range(3))
+            assert_same_as_validated(line_transport(random_box(rng), r, s, t))
+
+    def test_broadcast_vertices_unchanged(self):
+        # the 4-party LP's columns follow the order and entries of these 576 products
+        text = repr(broadcast_local_vertices())
+        digest = "da2d3b21cacb3eafd857056028871d1c700c1eb38ffc7ec47d69322589a333da"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_results_match_fraction_arithmetic(self):
         rng = rng_from_seed(9)
         a, b = random_box(rng), random_box(rng)
         p = F(3, 7)
         expected = tuple(p * u + (1 - p) * v for u, v in zip(a.probs, b.probs))
         assert mix(p, a, b).probs == expected
+
+
+def mixed_box(rng, input_arity, output_arity) -> Box:
+    """A random valid box of any shape, one random distribution per input."""
+    n_out = prod(output_arity)
+    probs = [w for _ in range(prod(input_arity)) for w in rational_weights(rng, n_out, 12)]
+    return Box(input_arity, output_arity, probs)
+
+
+def reference_tensor(box_a: Box, box_b: Box) -> Box:
+    """The Fraction loop over input and output tuples that ``tensor`` replaced."""
+    probs = [
+        box_a.prob(aa, xa) * box_b.prob(ab, xb)
+        for xa in box_a.input_tuples()
+        for xb in box_b.input_tuples()
+        for aa in box_a.output_tuples()
+        for ab in box_b.output_tuples()
+    ]
+    ins = box_a.input_arity + box_b.input_arity
+    return Box(ins, box_a.output_arity + box_b.output_arity, probs)
+
+
+def reference_permute(box: Box, new_order) -> Box:
+    """Entry (a, x) of the result read from the box at the tuples put back in old party order."""
+    ins = tuple(box.input_arity[j] for j in new_order)
+    outs = tuple(box.output_arity[j] for j in new_order)
+    old = lambda t: tuple(t[new_order.index(j)] for j in range(len(t)))
+    probs = [
+        box.prob(old(a), old(x))
+        for x in itertools.product(*map(range, ins))
+        for a in itertools.product(*map(range, outs))
+    ]
+    return Box(ins, outs, probs)
+
+
+def reference_marginal(box: Box, keep) -> Box:
+    """Sums over the other parties' outputs, with their inputs fixed to 0."""
+    keep = sorted(keep)
+    ins = tuple(box.input_arity[i] for i in keep)
+    outs = tuple(box.output_arity[i] for i in keep)
+    pick = lambda t: tuple(t[i] for i in keep)
+    inputs, outputs = (itertools.product(*map(range, arity)) for arity in (ins, outs))
+    totals = dict.fromkeys(itertools.product(inputs, outputs), Fraction(0))
+    for x in box.input_tuples():
+        if not any(x[i] for i in range(box.party_count) if i not in keep):
+            for a in box.output_tuples():
+                totals[pick(x), pick(a)] += box.prob(a, x)
+    return Box(ins, outs, list(totals.values()))
+
+
+class TestStructuralTransforms:
+    """Products, party permutations and marginals on mixed arities, against Fraction loops."""
+
+    SHAPES = (((3,), (2,)), ((2,), (3,)), ((1, 2), (2, 2)))
+
+    def factors(self, seed):
+        rng = rng_from_seed(seed)
+        return [mixed_box(rng, *shape) for shape in self.SHAPES]
+
+    def test_cells_are_storage_order(self):
+        for box in self.factors(0) + [uniform_box(3)]:
+            listed = cells(box.input_arity, box.output_arity)
+            expected = [(a, x) for x in box.input_tuples() for a in box.output_tuples()]
+            assert list(listed) == expected
+            assert [box.index(a, x) for a, x in listed] == list(range(len(box.probs)))
+
+    def test_tensor(self):
+        for seed in range(6):
+            a, b, c = self.factors(seed)
+            assert tensor(a, b) == reference_tensor(a, b)
+            assert tensor(tensor(c, a), b) == reference_tensor(reference_tensor(c, a), b)
+
+    def test_permute_parties(self):
+        for seed in range(6):
+            a, b, c = self.factors(seed)
+            box = tensor(tensor(c, a), b)
+            for order in itertools.permutations(range(4)):
+                assert permute_parties(box, order) == reference_permute(box, order)
+
+    def test_marginal(self):
+        for seed in range(6):
+            a, b, c = self.factors(seed)
+            # c's two parties, now 1 and 3, signal to each other: keep them together
+            box = permute_parties(tensor(tensor(c, a), b), (3, 0, 2, 1))
+            for size in (1, 2, 3):
+                for keep in itertools.combinations(range(4), size):
+                    if (1 in keep) == (3 in keep):
+                        assert marginal(box, keep) == reference_marginal(box, keep)
+
+    def test_line_transport(self):
+        for seed in range(6):
+            box = random_box(rng_from_seed(seed))
+            for r, s, t in itertools.product((0, 1), repeat=3):
+                expected = [
+                    box.prob((a ^ (r & x), b ^ (s & y) ^ t), (x, y))
+                    for (a, b), (x, y) in cells((2, 2), (2, 2))
+                ]
+                assert list(line_transport(box, r, s, t).probs) == expected
 
 
 def reference_one_sided(box: Box, keep) -> list[NSViolation]:
