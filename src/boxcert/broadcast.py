@@ -43,7 +43,7 @@ from .box import (
     permute_parties,
     uniform_box,
 )
-from .polytope import anti_robustness
+from .polytope import anti_robustness_closed_form
 from .ratlp import Constraint, LinearProgram, LPOutcome, solve
 from .rational import as_fraction
 from .vertices import broadcast_local_vertices
@@ -516,12 +516,16 @@ class ScanReport:
 
 
 def broadcast_scan(alphas, include_full: bool = False) -> ScanReport:
-    """Per-alpha verdicts plus anti-robustness values, ordered by alpha."""
+    """Per-alpha verdicts plus anti-robustness values, ordered by alpha.
+
+    A row's anti-robustness is the closed form 6/(beta* + 4) at b_alpha,
+    which the tests pin against the anti-robustness LP.
+    """
     rows = []
     for alpha in sorted(as_fraction(a) for a in alphas):
         instance = BroadcastInstance(alpha)
         projection = projection_feasibility(instance)
         full = full_broadcast_feasibility(instance) if include_full else None
-        value = anti_robustness(b_alpha(alpha)).value
+        value = anti_robustness_closed_form(b_alpha(alpha))
         rows.append(ScanRow(alpha, instance.p_alpha, projection, full, value))
     return ScanReport(tuple(rows))

@@ -49,6 +49,19 @@ def _parse_bits(text: str, width: int) -> tuple[int, ...]:
     return tuple(int(c) for c in text)
 
 
+MAX_GRID_POINTS = 10_000  # each scan row solves an LP; larger grids exit 2 before any is built
+
+
+def _parse_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a count, got {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {value}")
+    return value
+
+
 def _parse_grid(text: str) -> list[Fraction]:
     try:
         start_s, end_s, step_s = text.split(":")
@@ -61,12 +74,12 @@ def _parse_grid(text: str) -> list[Fraction]:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from exc
     if step <= 0 or end < start:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}")
-    values = []
-    current = start
-    while current <= end:
-        values.append(current)
-        current += step
-    return values
+    count = (end - start) // step + 1
+    if count > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} has {count} points, more than {MAX_GRID_POINTS}"
+        )
+    return [start + k * step for k in range(count)]
 
 
 def _write_json(path: str | None, payload) -> None:
@@ -317,7 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
         "hyperplane-check", help="ray-point locality and sampled hull equality"
     )
     p.add_argument("--rst", type=lambda v: _parse_bits(v, 3), help="apex bits; default all 8")
-    p.add_argument("--samples", type=int, default=0, help="sampled hull checks per side")
+    p.add_argument(
+        "--samples", type=_parse_count, default=0, help="sampled hull checks per side"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json")
     p.set_defaults(func=cmd_hyperplane_check)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import lcm
 from typing import NamedTuple
 
@@ -326,16 +326,7 @@ class RayPoint:
     point: Box
 
 
-def ray_intersection(r: int, s: int, t: int, vertex: Box) -> RayPoint:
-    """Unique point of [B_rst, vertex] on the beta_rst = 2 hyperplane."""
-    apex = pr_box(r, s, t)
-    name = None
-    for known, candidate in ns_vertices_2x2():
-        if candidate == vertex:
-            name = known
-            break
-    if name is None:
-        raise UnsupportedShape("vertex is not one of the 24 extremal NS points")
+def _ray_point(r: int, s: int, t: int, apex: Box, name: str, vertex: Box) -> RayPoint:
     beta_v = beta(vertex, r, s, t)
     if beta_v == 4:
         raise DegenerateRay("vertex lies on the apex level set beta = 4")
@@ -343,6 +334,34 @@ def ray_intersection(r: int, s: int, t: int, vertex: Box) -> RayPoint:
     point = mix(p, apex, vertex)
     assert beta(point, r, s, t) == 2
     return RayPoint((r, s, t), name, p, point)
+
+
+def ray_intersection(r: int, s: int, t: int, vertex: Box) -> RayPoint:
+    """Unique point of [B_rst, vertex] on the beta_rst = 2 hyperplane."""
+    apex = pr_box(r, s, t)
+    for name, candidate in ns_vertices_2x2():
+        if candidate == vertex:
+            return _ray_point(r, s, t, apex, name, vertex)
+    raise UnsupportedShape("vertex is not one of the 24 extremal NS points")
+
+
+@cache
+def _ray_table(r: int, s: int, t: int) -> tuple[RayPoint, ...]:
+    """The 23 ray points of apex B_rst, in ``ns_vertices_2x2`` order; built once per apex."""
+    apex = pr_box(r, s, t)
+    apex_name = f"pr_{r}{s}{t}"
+    return tuple(
+        _ray_point(r, s, t, apex, name, vertex)
+        for name, vertex in ns_vertices_2x2()
+        if name != apex_name
+    )
+
+
+def _rays(r: int, s: int, t: int) -> tuple[RayPoint, ...]:
+    # pr_box rejects non-bits first: as a cache key, 1.0 would find the entry
+    # for 1; a bool it accepts is keyed as the int it equals
+    pr_box(r, s, t)
+    return _ray_table(int(r), int(s), int(t))
 
 
 @dataclass(frozen=True)
@@ -362,12 +381,8 @@ class HyperplaneReport:
 
 def hyperplane_locality_check(r: int, s: int, t: int) -> HyperplaneReport:
     """All 23 ray points of apex B_rst satisfy all CHSH facets and are local."""
-    apex_name = f"pr_{r}{s}{t}"
     checks = []
-    for name, vertex in ns_vertices_2x2():
-        if name == apex_name:
-            continue
-        ray = ray_intersection(r, s, t, vertex)
+    for ray in _rays(r, s, t):
         values, local_flag = beta_table(ray.point)
         membership = lr_membership(ray.point)
         checks.append(RayPointCheck(ray, tuple(values), local_flag, membership))
@@ -377,13 +392,8 @@ def hyperplane_locality_check(r: int, s: int, t: int) -> HyperplaneReport:
 
 def ray_points(r: int, s: int, t: int) -> tuple[tuple[str, Box], ...]:
     """Apex plus its 23 hyperplane ray points, the candidate hull of beta >= 2."""
-    apex_name = f"pr_{r}{s}{t}"
-    points = [(apex_name, pr_box(r, s, t))]
-    for name, vertex in ns_vertices_2x2():
-        if name == apex_name:
-            continue
-        points.append((f"ray:{name}", ray_intersection(r, s, t, vertex).point))
-    return tuple(points)
+    rays = tuple((f"ray:{ray.vertex_name}", ray.point) for ray in _rays(r, s, t))
+    return ((f"pr_{r}{s}{t}", pr_box(r, s, t)),) + rays
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,16 @@ class TwirlChannel:
     def apply(self, box: Box) -> Box:
         """The average of the 8 relabeled boxes, summed over the integer view."""
         require_2x2(box)
-        return _gather(box, _SHAPE, [(1, op.source_index) for op in self.members])
+        return _gather(box, _SHAPE, _twirl_terms(self.r, self.s))
+
+
+@cache
+def _twirl_terms(r: int, s: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Weight 1 and the source index of each member of tau_rs, built once per (r, s).
+
+    Non-bits raise from ``members`` on every call: a raising call caches nothing.
+    """
+    return tuple((1, op.source_index) for op in TwirlChannel(r, s).members)
 
 
 def twirl(box: Box, r: int, s: int) -> Box:

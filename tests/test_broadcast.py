@@ -243,6 +243,13 @@ class TestScan:
         report = broadcast_scan([])
         assert report.rows == ()
 
+    def test_closed_form_agrees_with_the_lp_on_the_grid(self):
+        alphas = [F(3, 4) + F(k, 32) for k in range(9)]
+        report = broadcast_scan(alphas)
+        assert [row.alpha for row in report.rows] == alphas
+        for row in report.rows:
+            assert row.anti_robustness == anti_robustness(b_alpha(row.alpha)).value
+
 
 def _swapped(box):
     """The box with its two copies exchanged, by the party permutation alone."""

@@ -11,7 +11,9 @@ import pytest
 from boxcert.box import b_alpha, pr_box, uniform_box, make_box
 from boxcert.boxio import save_box
 from boxcert.certificates import FORMAT_VERSION
-from boxcert.cli import cmd_scan, main
+from boxcert import cli
+from boxcert.cli import build_parser, cmd_scan, main
+from boxcert.rational import parse_rational
 
 F = Fraction
 
@@ -132,6 +134,14 @@ class TestHyperplane:
         assert code == 0
         assert main(["verify-cert", str(cert_path)]) == 0
 
+    @pytest.mark.parametrize("count", ["-1", "-3"])
+    def test_negative_samples_exit_two(self, count, capsys):
+        # a negative count once wrote a certificate its own verifier rejects
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["hyperplane-check", "--samples", count])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+
 
 class TestBroadcast:
     def test_infeasible_at_seven_eighths(self, tmp_path, capsys):
@@ -175,6 +185,29 @@ class TestScan:
         assert main(["scan", "--alpha-grid", "7/8:1:1/16", "--json", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_grid_at_the_cap_parses(self):
+        step = f"1/{4 * (cli.MAX_GRID_POINTS - 1)}"
+        args = build_parser().parse_args(["scan", "--alpha-grid", f"3/4:1:{step}"])
+        assert len(args.alpha_grid) == cli.MAX_GRID_POINTS
+        assert args.alpha_grid[0] == F(3, 4) and args.alpha_grid[-1] == 1
+
+    def test_grid_over_the_cap_exits_two(self, capsys):
+        # counted before any grid value is built, so no scan starts
+        step = f"1/{4 * cli.MAX_GRID_POINTS}"
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["scan", "--alpha-grid", f"3/4:1:{step}"])
+        assert exc.value.code == 2
+        assert f"{cli.MAX_GRID_POINTS + 1} points" in capsys.readouterr().err
+
+    def test_grid_points_match_repeated_steps(self):
+        for text in ("3/4:1:1/16", "3/4:1:3/40", "3/4:3/4:1/8", "7/8:1:1"):
+            start, end, step = (parse_rational(v) for v in text.split(":"))
+            expected, current = [], start
+            while current <= end:
+                expected.append(current)
+                current += step
+            assert build_parser().parse_args(["scan", "--alpha-grid", text]).alpha_grid == expected
+
 
 class TestPinnedCertificates:
     """Certificates must stay byte-identical across solver changes, not only across runs."""
@@ -190,6 +223,20 @@ class TestPinnedCertificates:
         assert main(["scan", "--alpha-grid", "7/8:1:1/16", "--json", str(cert_path)]) == 0
         digest = hashlib.sha256(cert_path.read_bytes()).hexdigest()
         assert digest == "8cf62ac54185ebf950570dcd2649dd933cf7aa7c2f9ce662fb5101297ae1c37d"
+
+    def test_hyperplane_with_samples(self, tmp_path):
+        cert_path = tmp_path / "hyperplane.json"
+        argv = ["hyperplane-check", "--rst", "010", "--samples", "8", "--seed", "3"]
+        assert main(argv + ["--json", str(cert_path)]) == 0
+        digest = hashlib.sha256(cert_path.read_bytes()).hexdigest()
+        assert digest == "79a30e607a55ccd01e8909870d40f49e6265999fdb9d3bb5573ea8b54c59fa63"
+
+    def test_scan_across_the_window(self, tmp_path):
+        # rows in (3/4, 4/5] are not certified, so the scan exits 1
+        cert_path = tmp_path / "scan.json"
+        assert main(["scan", "--alpha-grid", "3/4:1:1/32", "--json", str(cert_path)]) == 1
+        digest = hashlib.sha256(cert_path.read_bytes()).hexdigest()
+        assert digest == "191b974aa0ad808d63b4663add61ba6db32b5c5a4fa0fb81e050a6033495b840"
 
 
 class TestVerifyCert:

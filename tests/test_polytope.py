@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from boxcert.box import (
+    BoxError,
     b_alpha,
     convex_combination,
     deterministic_vertices,
@@ -16,6 +17,7 @@ from boxcert.box import (
     uniform_box,
 )
 from boxcert.chsh import beta, beta_cell_coefficients, beta_table
+from boxcert import polytope
 from boxcert.polytope import (
     BROADCAST_CUT,
     DegenerateRay,
@@ -271,6 +273,48 @@ class TestHyperplane:
             for name, point in ray_points(r, s, t):
                 if name.startswith("ray:"):
                     assert beta(point, r, s, t) == 2
+
+
+def reference_rays(r, s, t):
+    """The 23 ray points of apex B_rst, each found again through ray_intersection."""
+    apex_name = f"pr_{r}{s}{t}"
+    return [
+        ray_intersection(r, s, t, vertex)
+        for name, vertex in ns_vertices_2x2()
+        if name != apex_name
+    ]
+
+
+class TestRayTable:
+    @pytest.mark.parametrize("rst", list(itertools.product((0, 1), repeat=3)))
+    def test_table_matches_ray_intersection(self, rst):
+        expected = reference_rays(*rst)
+        for _ in range(2):  # once filling the table, once reading it
+            report = hyperplane_locality_check(*rst)
+            assert report.apex == rst
+            assert [check.ray for check in report.checks] == expected
+            points = ray_points(*rst)
+            assert points[0] == (f"pr_{''.join(map(str, rst))}", pr_box(*rst))
+            assert list(points[1:]) == [(f"ray:{ray.vertex_name}", ray.point) for ray in expected]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: hyperplane_locality_check(1.0, 0, 0),
+            lambda: ray_points(2, 0, 0),
+            lambda: ray_intersection(2, 0, 0, pr_box(0, 0, 1)),
+        ],
+    )
+    def test_non_bits_rejected_on_every_call(self, call):
+        polytope._ray_table.cache_clear()
+        for _ in range(2):
+            with pytest.raises(BoxError):
+                call()
+        ray_points(1, 0, 0)
+        hyperplane_locality_check(0, 0, 0)
+        for _ in range(2):
+            with pytest.raises(BoxError):
+                call()
 
 
 class TestHalfspace:

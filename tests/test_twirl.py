@@ -8,6 +8,7 @@ import pytest
 from boxcert.box import (
     WrongShape,
     b_alpha,
+    convex_combination,
     deterministic_vertices,
     is_fully_ns,
     mix,
@@ -145,6 +146,22 @@ class TestLineDecomposition:
 
 
 class TestChannels:
+    def test_non_bit_twirl_rejected_on_every_call(self):
+        box = pr_box(0, 0, 0)
+        for _ in range(3):
+            with pytest.raises(WrongShape):
+                TwirlChannel(2, 0).apply(box)
+
+    def test_apply_equals_the_mean_of_its_members(self):
+        rng = rng_from_seed(29)
+        box = random_box(rng)
+        for r, s in itertools.product((0, 1), repeat=2):
+            channel = TwirlChannel(r, s)
+            expected = convex_combination(
+                [F(1, 8)] * 8, [apply_relabeling(op, box) for op in channel.members]
+            )
+            assert channel.apply(box) == expected
+
     def test_mixture_weights_validated(self):
         ops = (RelabelingOp(0, 0, 0, 0, 0),)
         with pytest.raises(WrongShape):
