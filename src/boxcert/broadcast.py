@@ -37,13 +37,11 @@ from .box import (
     WrongShape,
     b_alpha,
     cells,
-    convex_combination,
     is_fully_ns,
     marginal,
     permute_parties,
-    uniform_box,
 )
-from .polytope import anti_robustness_closed_form
+from .polytope import admixture, anti_robustness_closed_form, mixture
 from .ratlp import Constraint, LinearProgram, LPOutcome, solve
 from .rational import as_fraction
 from .vertices import broadcast_local_vertices
@@ -427,29 +425,17 @@ def full_broadcast_feasibility(instance: BroadcastInstance) -> FeasibilityVerdic
     bhat = bhat_from_witness(instance.alpha, outcome.witness)
     lifted = _lift(_orbits_of_vertices(), lambda rep: outcome.witness[f"w:{rep}"])
     weights = {name: w for name, w in lifted.items() if w}
-    lookup = dict(broadcast_local_vertices())
-    local = convex_combination(list(weights.values()), [lookup[name] for name in weights])
-    if p == 1:
-        admixture = uniform_box(4)
-    else:
-        admixture = Box(
-            (2, 2, 2, 2),
-            (2, 2, 2, 2),
-            tuple(
-                (lv - p * bv) / (1 - p) for lv, bv in zip(local.probs, bhat.probs)
-            ),
-        )
+    local = mixture(weights, broadcast_local_vertices())
+    x = admixture(local, p, bhat)
     line_box = b_alpha(instance.alpha)
     assert marginal(bhat, {0, 1}) == line_box
     assert marginal(bhat, {2, 3}) == line_box
     assert is_fully_ns(bhat).fully_ns
-    assert is_fully_ns(admixture).fully_ns
-    for lv, bv, xv in zip(local.probs, bhat.probs, admixture.probs):
-        assert lv == p * bv + (1 - p) * xv
+    assert is_fully_ns(x).fully_ns
     witness = {
         "broadcast_copy": bhat,
         "local": local,
-        "admixture": admixture,
+        "admixture": x,
         "weights": weights,
     }
     return FeasibilityVerdict(True, instance.alpha, witness, None, lp, outcome)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
-from .box import Box, BoxError, b_alpha, convex_combination, is_fully_ns, marginal, mix, pr_box
+from .box import Box, BoxError, b_alpha, marginal
 from .boxio import box_from_dict, box_to_dict
 from .broadcast import (
     BroadcastInstance,
@@ -22,7 +23,7 @@ from .broadcast import (
     full_broadcast_lp,
     projection_lp,
 )
-from .chsh import beta, beta_table
+from .chsh import beta_table
 from .polytope import (
     BROADCAST_CUT,
     AntiRobustnessResult,
@@ -31,14 +32,17 @@ from .polytope import (
     MembershipCertificate,
     anti_robustness_closed_form,
     anti_robustness_lp,
+    halfspace_draws,
+    hull_fault,
     membership_lp,
+    mixture,
     ray_points,
     _local_vertex_set,
+    _rays,
 )
 from .ratlp import LPOutcome, check_witness
 from .rational import as_fraction, format_rational
-from .sampling import random_ns_box_with_min_beta, rational_weights, rng_from_seed
-from .vertices import ns_vertices_2x2
+from .vertices import local_vertices_2x2
 
 F = Fraction
 
@@ -77,19 +81,26 @@ def outcome_to_dict(outcome: LPOutcome) -> dict:
     return data
 
 
+def _items(data, field: str):
+    """The (key, value) pairs of a JSON object field; anything else is malformed."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{field} is not a JSON object")
+    return data.items()
+
+
 def outcome_from_dict(data: dict) -> LPOutcome:
     return LPOutcome(
         status=data["status"],
-        witness={v: as_fraction(x) for v, x in data["witness"].items()}
+        witness={v: as_fraction(x) for v, x in _items(data["witness"], "outcome.witness")}
         if "witness" in data
         else None,
         objective_value=as_fraction(data["objective_value"])
         if "objective_value" in data
         else None,
-        dual={_str_to_key(k): as_fraction(v) for k, v in data["dual"].items()}
+        dual={_str_to_key(k): as_fraction(v) for k, v in _items(data["dual"], "outcome.dual")}
         if "dual" in data
         else None,
-        farkas={_str_to_key(k): as_fraction(v) for k, v in data["farkas"].items()}
+        farkas={_str_to_key(k): as_fraction(v) for k, v in _items(data["farkas"], "outcome.farkas")}
         if "farkas" in data
         else None,
     )
@@ -100,7 +111,7 @@ def _weights_to_dict(weights: dict[str, Fraction]) -> dict:
 
 
 def _weights_from_dict(data: dict) -> dict[str, Fraction]:
-    return {name: as_fraction(w) for name, w in data.items()}
+    return {name: as_fraction(w) for name, w in _items(data, "weights")}
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +119,20 @@ def _weights_from_dict(data: dict) -> dict[str, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def membership_certificate(box: Box, cert: MembershipCertificate, cut: str = "2x2") -> dict:
+def _certificate(kind: str, inputs: dict, result: dict, outcome: LPOutcome | None = None) -> dict:
+    data = {"format": FORMAT_VERSION, "kind": kind, "inputs": inputs, "result": result}
+    if outcome is not None:
+        data["outcome"] = outcome_to_dict(outcome)
+    return data
+
+
+def _box_inputs(box: Box) -> dict:
+    """A weight-LP certificate's inputs: the box and the cut its shape implies."""
+    cut = "2x2" if box.is_binary_bipartite() else "broadcast"
+    return {"box": box_to_dict(box), "cut": cut}
+
+
+def membership_certificate(box: Box, cert: MembershipCertificate) -> dict:
     result: dict = {"member": cert.member}
     if cert.weights is not None:
         result["weights"] = _weights_to_dict(cert.weights)
@@ -117,69 +141,42 @@ def membership_certificate(box: Box, cert: MembershipCertificate, cut: str = "2x
             {"rst": f"{v.r}{v.s}{v.t}", "value": _frac(v.value)}
             for v in cert.violated_facets
         ]
-    return {
-        "format": FORMAT_VERSION,
-        "kind": "membership",
-        "inputs": {"box": box_to_dict(box), "cut": cut},
-        "result": result,
-        "outcome": outcome_to_dict(cert.outcome),
-    }
+    return _certificate("membership", _box_inputs(box), result, cert.outcome)
 
 
-def antirobustness_certificate(box: Box, result: AntiRobustnessResult, cut: str = "2x2") -> dict:
-    return {
-        "format": FORMAT_VERSION,
-        "kind": "antirobustness",
-        "inputs": {"box": box_to_dict(box), "cut": cut},
-        "result": {
-            "value": _frac(result.value),
-            "weights": _weights_to_dict(result.weights),
-        },
-        "outcome": outcome_to_dict(result.outcome),
-    }
+def antirobustness_certificate(box: Box, result: AntiRobustnessResult) -> dict:
+    stated = {"value": _frac(result.value), "weights": _weights_to_dict(result.weights)}
+    return _certificate("antirobustness", _box_inputs(box), stated, result.outcome)
 
 
 def hyperplane_certificate(report: HyperplaneReport) -> dict:
-    points = []
-    for check in report.checks:
-        points.append(
-            {
-                "vertex": check.ray.vertex_name,
-                "p": _frac(check.ray.p),
-                "betas": {
-                    f"{v.r}{v.s}{v.t}": _frac(v.value) for v in check.betas
-                },
-                "member": check.membership.member,
-                "weights": _weights_to_dict(check.membership.weights or {}),
-            }
-        )
-    return {
-        "format": FORMAT_VERSION,
-        "kind": "hyperplane",
-        "inputs": {"rst": "%d%d%d" % report.apex},
-        "result": {"all_pass": report.all_pass, "points": points},
-    }
+    points = [
+        {
+            "vertex": check.ray.vertex_name,
+            "p": _frac(check.ray.p),
+            "betas": {f"{v.r}{v.s}{v.t}": _frac(v.value) for v in check.betas},
+            "member": check.membership.member,
+            "weights": _weights_to_dict(check.membership.weights or {}),
+        }
+        for check in report.checks
+    ]
+    return _certificate(
+        "hyperplane",
+        {"rst": "%d%d%d" % report.apex},
+        {"all_pass": report.all_pass, "points": points},
+    )
 
 
 def halfspace_certificate(report: HalfspaceReport) -> dict:
-    return {
-        "format": FORMAT_VERSION,
-        "kind": "halfspace",
-        "inputs": {
-            "rst": "%d%d%d" % report.apex,
-            "samples": report.samples,
-            "seed": report.seed,
-        },
-        "result": {
+    return _certificate(
+        "halfspace",
+        {"rst": "%d%d%d" % report.apex, "samples": report.samples, "seed": report.seed},
+        {
             "all_pass": report.all_pass,
-            "hull_weights": [
-                [_frac(w) for w in row] for row in report.hull_weights
-            ],
-            "half_decompositions": [
-                _weights_to_dict(d) for d in report.half_decompositions
-            ],
+            "hull_weights": [[_frac(w) for w in row] for row in report.hull_weights],
+            "half_decompositions": [_weights_to_dict(d) for d in report.half_decompositions],
         },
-    }
+    )
 
 
 def scan_certificate(report: ScanReport) -> dict:
@@ -205,12 +202,9 @@ def scan_certificate(report: ScanReport) -> dict:
                     row.full.witness["broadcast_copy"]
                 )
         rows.append(entry)
-    return {
-        "format": FORMAT_VERSION,
-        "kind": "broadcast",
-        "inputs": {"alphas": [_frac(row.alpha) for row in report.rows]},
-        "result": {"rows": rows},
-    }
+    return _certificate(
+        "broadcast", {"alphas": [_frac(row.alpha) for row in report.rows]}, {"rows": rows}
+    )
 
 
 def save_certificate(data: dict, path) -> None:
@@ -238,13 +232,6 @@ def _points_for(box: Box, cut: str):
     raise CertificateError(f"unknown cut label {cut!r}")
 
 
-def _mixture(stated_weights: dict, points) -> Box:
-    """The mixture of the named ``points`` with the certificate's stated weights."""
-    weights = _weights_from_dict(stated_weights)
-    lookup = dict(points)
-    return convex_combination(list(weights.values()), [lookup[name] for name in weights])
-
-
 def _verify_membership(data: dict, errors: list[str]) -> None:
     box = box_from_dict(data["inputs"]["box"])
     points = _points_for(box, data["inputs"]["cut"])
@@ -256,7 +243,7 @@ def _verify_membership(data: dict, errors: list[str]) -> None:
     member = data["result"]["member"]
     if member != (outcome.status == "optimal"):
         errors.append("member flag disagrees with LP outcome status")
-    if member and _mixture(data["result"]["weights"], points) != box:
+    if member and mixture(_weights_from_dict(data["result"]["weights"]), points) != box:
         errors.append("weights do not reconstruct the box")
 
 
@@ -272,7 +259,7 @@ def _verify_antirobustness(data: dict, errors: list[str]) -> None:
     if outcome.status != "optimal" or outcome.objective_value != value:
         errors.append("stated value disagrees with verified optimum")
         return
-    local = _mixture(data["result"]["weights"], points)
+    local = mixture(_weights_from_dict(data["result"]["weights"]), points)
     for lv, bv in zip(local.probs, box.probs):
         if lv - value * bv < 0:
             errors.append("local witness fails the admixture inequality")
@@ -286,91 +273,54 @@ def _check_all_pass(data: dict, errors: list[str]) -> None:
 
 
 def _verify_hyperplane(data: dict, errors: list[str]) -> None:
-    rst = data["inputs"]["rst"]
-    r, s, t = (int(b) for b in rst)
-    apex = pr_box(r, s, t)
-    lookup = dict(ns_vertices_2x2())
-    det_lookup = dict(ns_vertices_2x2()[:16])
-    seen = set()
-    for entry in data["result"]["points"]:
-        name = entry["vertex"]
-        seen.add(name)
-        vertex = lookup.get(name)
-        if vertex is None:
-            errors.append(f"unknown vertex {name}")
-            continue
-        p = as_fraction(entry["p"])
-        point = mix(p, apex, vertex)
-        expected = (2 - beta(vertex, r, s, t)) / (4 - beta(vertex, r, s, t))
-        if p != expected:
+    """Each stated point must be its row of the apex's ray table, local by its weights."""
+    rays = _rays(*(int(b) for b in data["inputs"]["rst"]))
+    entries = data["result"]["points"]
+    if [entry["vertex"] for entry in entries] != [ray.vertex_name for ray in rays]:
+        errors.append(f"points are not the {len(rays)} ray points in table order")
+        return
+    for entry, ray in zip(entries, rays):
+        name = ray.vertex_name
+        if as_fraction(entry["p"]) != ray.p:
             errors.append(f"{name}: stated p differs from the hyperplane solution")
-        values, local_flag = beta_table(point)
+        values, local_flag = beta_table(ray.point)
         for v in values:
-            stated = as_fraction(entry["betas"][f"{v.r}{v.s}{v.t}"])
-            if stated != v.value:
+            if as_fraction(entry["betas"][f"{v.r}{v.s}{v.t}"]) != v.value:
                 errors.append(f"{name}: stated beta_{v.r}{v.s}{v.t} differs")
-        if beta(point, r, s, t) != 2:
-            errors.append(f"{name}: point not on the beta = 2 hyperplane")
         if not local_flag:
             errors.append(f"{name}: point violates a CHSH facet")
         if not entry["member"]:
             errors.append(f"{name}: certificate does not claim membership")
             continue
-        weights = _weights_from_dict(entry["weights"])
-        if any(w < 0 for w in weights.values()) or sum(weights.values()) != 1:
-            errors.append(f"{name}: membership weights not a convex combination")
-            continue
-        rebuilt = convex_combination(
-            list(weights.values()), [det_lookup[n] for n in weights]
-        )
-        if rebuilt != point:
+        if mixture(_weights_from_dict(entry["weights"]), local_vertices_2x2()) != ray.point:
             errors.append(f"{name}: membership weights do not reconstruct the point")
-    if len(seen) != 23:
-        errors.append(f"expected 23 ray points, found {len(seen)}")
     _check_all_pass(data, errors)
 
 
 def _verify_halfspace(data: dict, errors: list[str]) -> None:
-    rst = data["inputs"]["rst"]
-    r, s, t = (int(b) for b in rst)
+    """Replay the seeded draw stream: the hull rows must match it, the boxes decompose."""
+    r, s, t = (int(b) for b in data["inputs"]["rst"])
     samples = data["inputs"]["samples"]
-    seed = data["inputs"]["seed"]
-    points = ray_points(r, s, t)
-    boxes = [b for _, b in points]
-    lookup = dict(points)
-    rng = rng_from_seed(seed)
     hull_rows = data["result"]["hull_weights"]
+    half_rows = data["result"]["half_decompositions"]
     if len(hull_rows) != samples:
         errors.append("hull sample count mismatch")
         return
-    for k in range(samples):
-        expected = rational_weights(rng, len(points))
-        stated = [as_fraction(w) for w in hull_rows[k]]
-        if stated != expected:
-            errors.append(f"hull sample {k}: weights differ from the seeded stream")
-            break
-        candidate = convex_combination(stated, boxes)
-        if beta(candidate, r, s, t) < 2:
-            errors.append(f"hull sample {k}: beta below 2")
-        if not is_fully_ns(candidate).fully_ns:
-            errors.append(f"hull sample {k}: not fully NS")
-    half_rows = data["result"]["half_decompositions"]
     if len(half_rows) != samples:
         errors.append("halfspace sample count mismatch")
         return
-    for k in range(samples):
-        candidate = random_ns_box_with_min_beta(rng, r, s, t)
-        weights = _weights_from_dict(half_rows[k])
+    draws = halfspace_draws(r, s, t, samples, data["inputs"]["seed"])
+    for k, (row, expected) in enumerate(zip(hull_rows, islice(draws, samples))):
+        if [as_fraction(w) for w in row] != expected:
+            errors.append(f"hull sample {k}: weights differ from the seeded stream")
+        elif fault := hull_fault(r, s, t, expected):
+            errors.append(f"hull sample {k}: {fault}")
+    points = ray_points(r, s, t)
+    for k, (row, candidate) in enumerate(zip(half_rows, draws)):
+        weights = _weights_from_dict(row)
         if not weights:
             errors.append(f"halfspace sample {k}: missing decomposition")
-            continue
-        if any(w < 0 for w in weights.values()) or sum(weights.values()) != 1:
-            errors.append(f"halfspace sample {k}: weights not convex")
-            continue
-        rebuilt = convex_combination(
-            list(weights.values()), [lookup[name] for name in weights]
-        )
-        if rebuilt != candidate:
+        elif mixture(weights, points) != candidate:
             errors.append(f"halfspace sample {k}: weights do not reconstruct the sample")
     _check_all_pass(data, errors)
 

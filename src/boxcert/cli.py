@@ -50,6 +50,7 @@ def _parse_bits(text: str, width: int) -> tuple[int, ...]:
 
 
 MAX_GRID_POINTS = 10_000  # each scan row solves an LP; larger grids exit 2 before any is built
+MAX_SAMPLES = 10_000  # each sample solves an LP and verify-cert replays it; more exit 2 at parse time
 
 
 def _parse_count(text: str) -> int:
@@ -57,8 +58,8 @@ def _parse_count(text: str) -> int:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected a count, got {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {value}")
+    if not 0 <= value <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"expected a count in [0, {MAX_SAMPLES}], got {value}")
     return value
 
 

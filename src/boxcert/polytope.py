@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import islice
 from math import lcm
 from typing import NamedTuple
 
@@ -83,6 +84,31 @@ def _local_vertex_set(box: Box, cut: Cut | None) -> tuple[tuple[str, Box], ...]:
     raise UnsupportedShape(
         f"no local polytope description for arities {box.input_arity}/{box.output_arity}"
     )
+
+
+def named_weights(witness: dict, points: tuple[tuple[str, Box], ...]) -> dict[str, Fraction]:
+    """The nonzero ``w:<name>`` values of a weight-LP witness, in ``points`` order."""
+    return {name: w for name, _ in points if (w := witness[f"w:{name}"])}
+
+
+def mixture(weights: dict[str, Fraction], points) -> Box:
+    """The mixture of the named ``points`` with ``weights`` (name -> weight)."""
+    lookup = dict(points)
+    return convex_combination(list(weights.values()), [lookup[name] for name in weights])
+
+
+def admixture(local: Box, q: Fraction, target: Box) -> Box:
+    """X = (L - q*target)/(1 - q), so that L = q*target + (1-q)*X; uniform at q = 1."""
+    if q == 1:
+        return uniform_box(target.party_count)
+    l_nums, l_den = local.int_view
+    t_nums, t_den = target.int_view
+    den = lcm(l_den, t_den)
+    fl, ft = q.denominator * (den // l_den), q.numerator * (den // t_den)
+    scale = den * (q.denominator - q.numerator)
+    probs = tuple(F(fl * u - ft * v, scale) for u, v in zip(l_nums, t_nums))
+    # validated: X's validity rests on an LP solution rather than on the types
+    return Box(target.input_arity, target.output_arity, probs)
 
 
 class _WeightTemplate(NamedTuple):
@@ -201,11 +227,7 @@ def lr_membership(box: Box, cut: Cut | None = None) -> MembershipCertificate:
     lp = membership_lp(box, points)
     outcome = solve(lp)
     if outcome.status == "optimal":
-        weights = {
-            name: outcome.witness[f"w:{name}"]
-            for name, _ in points
-            if outcome.witness[f"w:{name}"] != 0
-        }
+        weights = named_weights(outcome.witness, points)
         return MembershipCertificate(True, weights, None, (), lp, outcome)
     facets: tuple[CHSHValue, ...] = ()
     if box.is_binary_bipartite():
@@ -281,26 +303,11 @@ def anti_robustness(box: Box, cut: Cut | None = None) -> AntiRobustnessResult:
     if outcome.status != "optimal":
         raise RuntimeError(f"anti-robustness LP ended {outcome.status}")
     q = outcome.witness["q"]
-    weights = {
-        name: outcome.witness[f"w:{name}"]
-        for name, _ in points
-        if outcome.witness[f"w:{name}"] != 0
-    }
-    lookup = dict(points)
-    local_witness = convex_combination(list(weights.values()), [lookup[name] for name in weights])
-    if q == 1:
-        admixture = uniform_box(box.party_count)
-    else:
-        # (L - q*box)/(1 - q) over one denominator; still validated, since
-        # its validity rests on the LP solution rather than on the types
-        l_nums, l_den = local_witness.int_view
-        b_nums, b_den = box.int_view
-        den = lcm(l_den, b_den)
-        fl, fb = q.denominator * (den // l_den), q.numerator * (den // b_den)
-        scale = den * (q.denominator - q.numerator)
-        admixture_probs = tuple(F(fl * u - fb * v, scale) for u, v in zip(l_nums, b_nums))
-        admixture = Box(box.input_arity, box.output_arity, admixture_probs)
-    return AntiRobustnessResult(q, local_witness, admixture, weights, lp, outcome)
+    weights = named_weights(outcome.witness, points)
+    local_witness = mixture(weights, points)
+    return AntiRobustnessResult(
+        q, local_witness, admixture(local_witness, q, box), weights, lp, outcome
+    )
 
 
 def anti_robustness_closed_form(box: Box) -> Fraction:
@@ -415,6 +422,26 @@ class HalfspaceReport:
     all_pass: bool
 
 
+def halfspace_draws(r: int, s: int, t: int, samples: int, seed: int):
+    """Seeded draws: ``samples`` weight rows over ``ray_points``, then ``samples`` boxes."""
+    rng = rng_from_seed(seed)
+    count = 1 + len(_rays(r, s, t))
+    for _ in range(samples):
+        yield rational_weights(rng, count)
+    for _ in range(samples):
+        yield random_ns_box_with_min_beta(rng, r, s, t)
+
+
+def hull_fault(r: int, s: int, t: int, weights) -> str | None:
+    """Why the ``weights`` mixture of ``ray_points`` leaves {beta_rst >= 2} ∩ NS, or None."""
+    candidate = convex_combination(weights, [b for _, b in ray_points(r, s, t)])
+    if beta(candidate, r, s, t) < 2:
+        return "beta below 2"
+    if not is_fully_ns(candidate).fully_ns:
+        return "not fully NS"
+    return None
+
+
 def halfspace_body_equality_check(
     r: int, s: int, t: int, samples: int = 500, seed: int = 0
 ) -> HalfspaceReport:
@@ -427,40 +454,27 @@ def halfspace_body_equality_check(
     can replay both directions by substitution alone.
     """
     points = ray_points(r, s, t)
-    boxes = [b for _, b in points]
-    rng = rng_from_seed(seed)
-    hull_failures = []
-    hull_weights = []
-    for k in range(samples):
-        weights = rational_weights(rng, len(points))
-        hull_weights.append(tuple(weights))
-        candidate = convex_combination(weights, boxes)
-        if beta(candidate, r, s, t) < 2:
-            hull_failures.append(HalfspaceSample(k, False, "beta below 2"))
-        elif not is_fully_ns(candidate).fully_ns:
-            hull_failures.append(HalfspaceSample(k, False, "not fully NS"))
+    draws = halfspace_draws(r, s, t, samples, seed)
+    hull_weights = tuple(tuple(row) for row in islice(draws, samples))
+    hull_failures = [
+        HalfspaceSample(k, False, fault)
+        for k, weights in enumerate(hull_weights)
+        if (fault := hull_fault(r, s, t, weights))
+    ]
     half_failures = []
     half_decompositions = []
-    for k in range(samples):
-        candidate = random_ns_box_with_min_beta(rng, r, s, t)
-        lp = membership_lp(candidate, points)
-        outcome = solve(lp)
+    for k, candidate in enumerate(draws):
+        outcome = solve(membership_lp(candidate, points))
         if outcome.status != "optimal":
             half_failures.append(HalfspaceSample(k, False, "no exact decomposition"))
             half_decompositions.append({})
         else:
-            half_decompositions.append(
-                {
-                    name: outcome.witness[f"w:{name}"]
-                    for name, _ in points
-                    if outcome.witness[f"w:{name}"] != 0
-                }
-            )
+            half_decompositions.append(named_weights(outcome.witness, points))
     return HalfspaceReport(
         (r, s, t),
         samples,
         seed,
-        tuple(hull_weights),
+        hull_weights,
         tuple(half_decompositions),
         tuple(hull_failures),
         tuple(half_failures),

@@ -15,6 +15,7 @@ from boxcert.broadcast import (
     BroadcastInstance,
     JointDist,
     RangeError,
+    S1_INEQUALITIES,
     WrongShape,
     _evar,
     _orbits_of_vertices,
@@ -145,6 +146,25 @@ class TestS1S2:
             dist = c1c2_projection(symmetric)
             assert dist.p12 == dist.p21
             assert s1_check(dist.p11, dist.p12)
+
+    def test_s1_is_the_projected_local_polytope(self):
+        # the hull of the swap-averaged projections of the 576 AA'|BB' vertices
+        projected = set()
+        for _, vertex in broadcast_local_vertices():
+            dist = c1c2_projection(vertex)
+            projected.add((dist.p11, (dist.p12 + dist.p21) / 2))
+        assert all(s1_check(p11, p12) for p11, p12 in projected)
+        corners = set()
+        for (_, a1, b1, _, c1), (_, a2, b2, _, c2) in itertools.combinations(S1_INEQUALITIES, 2):
+            det = F(a1 * b2 - a2 * b1)
+            if det:
+                corner = ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
+                if s1_check(*corner):
+                    corners.add(corner)
+        assert corners <= projected
+        assert corners == {
+            (F(1, 16), F(3, 16)), (F(1, 8), F(3, 8)), (F(3, 8), F(1, 8)), (F(9, 16), F(3, 16))
+        }
 
 
 class TestProjectionFeasibility:

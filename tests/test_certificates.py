@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from boxcert.box import b_alpha, pr_box
+from boxcert.box import b_alpha, pr_box, tensor
 from boxcert.broadcast import ScanReport, broadcast_scan
 from boxcert.certificates import (
     antirobustness_certificate,
@@ -20,6 +20,7 @@ from boxcert.certificates import (
     verify_certificate,
 )
 from boxcert.polytope import (
+    BROADCAST_CUT,
     anti_robustness,
     halfspace_body_equality_check,
     hyperplane_locality_check,
@@ -200,6 +201,67 @@ class TestMalformedInputsRejected:
     def test_missing_format_rejected(self):
         data = self.antirobustness_data()
         del data["format"]
+        assert not verify_certificate(data)[0]
+
+    @pytest.mark.parametrize("value", [[], "x"])
+    @pytest.mark.parametrize(
+        "section, field",
+        [("result", "weights"), ("outcome", "witness"), ("outcome", "dual"), ("outcome", "farkas")],
+    )
+    def test_non_object_field_rejected(self, section, field, value):
+        data = self.antirobustness_data()
+        data[section][field] = value
+        ok, errors = verify_certificate(data)
+        name = field if section == "result" else f"outcome.{field}"
+        assert (ok, errors) == (False, [f"malformed certificate: TypeError('{name} is not a JSON object')"])
+
+
+class TestCutLabel:
+    def test_four_party_membership_certificate_verifies(self):
+        k = b_alpha(F(3, 4))
+        box = tensor(k, k)
+        data = roundtrip(membership_certificate(box, lr_membership(box, cut=BROADCAST_CUT)))
+        assert data["inputs"]["cut"] == "broadcast"
+        assert verify_certificate(data) == (True, [])
+
+    def test_two_party_label(self):
+        box = b_alpha(F(7, 8))
+        assert antirobustness_certificate(box, anti_robustness(box))["inputs"]["cut"] == "2x2"
+        assert membership_certificate(box, lr_membership(box))["inputs"]["cut"] == "2x2"
+
+
+class TestHyperplaneTable:
+    """The stated points must be the apex's 23 ray-table rows, in table order."""
+
+    def data(self):
+        return roundtrip(hyperplane_certificate(hyperplane_locality_check(0, 0, 0)))
+
+    def test_apex_as_vertex_rejected(self):
+        data = self.data()
+        data["result"]["points"][0]["vertex"] = "pr_000"
+        ok, errors = verify_certificate(data)
+        assert not ok
+        assert "points are not the 23 ray points in table order" in errors
+
+    def test_repeated_point_rejected(self):
+        data = self.data()
+        points = data["result"]["points"]
+        points.append(copy.deepcopy(points[0]))
+        assert len(points) == 24
+        ok, errors = verify_certificate(data)
+        assert not ok
+        assert "points are not the 23 ray points in table order" in errors
+
+    def test_non_convex_weights_rejected(self):
+        data = self.data()
+        data["result"]["points"][0]["weights"] = {"det_00_00": "2/1", "det_00_01": "-1/1"}
+        ok, errors = verify_certificate(data)
+        assert not ok and "WeightOutOfRange" in errors[0]
+
+    def test_reordered_points_rejected(self):
+        data = self.data()
+        points = data["result"]["points"]
+        points[0], points[1] = points[1], points[0]
         assert not verify_certificate(data)[0]
 
 

@@ -142,6 +142,17 @@ class TestHyperplane:
         assert exc.value.code == 2
         assert "--samples" in capsys.readouterr().err
 
+    def test_samples_at_the_cap_parse(self):
+        args = build_parser().parse_args(["hyperplane-check", "--samples", str(cli.MAX_SAMPLES)])
+        assert args.samples == cli.MAX_SAMPLES
+
+    def test_samples_over_the_cap_exit_two(self, capsys):
+        # rejected while parsing, so no check runs
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["hyperplane-check", "--samples", str(cli.MAX_SAMPLES + 1)])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+
 
 class TestBroadcast:
     def test_infeasible_at_seven_eighths(self, tmp_path, capsys):
@@ -282,6 +293,22 @@ class TestVerifyCertRejectsMalformed:
         capsys.readouterr()
         assert main(["verify-cert", str(cert_path)]) == 1
         assert "FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", [[], "x"])
+    @pytest.mark.parametrize(
+        "section, field",
+        [("result", "weights"), ("outcome", "witness"), ("outcome", "dual"), ("outcome", "farkas")],
+    )
+    def test_non_object_field_exits_one(self, tmp_path, capsys, section, field, value):
+        box_path, cert_path = tmp_path / "box.json", tmp_path / "cert.json"
+        save_box(b_alpha(F(7, 8)), box_path)
+        assert main(["antirobustness", str(box_path), "--json", str(cert_path)]) == 0
+        data = json.loads(cert_path.read_text())
+        data[section][field] = value
+        cert_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify-cert", str(cert_path)]) == 1
+        assert "is not a JSON object" in capsys.readouterr().out
 
     @pytest.mark.parametrize("text", ['[[{"kind": "scan"}]]', "5", "null"])
     def test_non_object_certificate_exits_one(self, tmp_path, capsys, text):
