@@ -61,14 +61,25 @@ def box_from_dict(data) -> Box:
     return make_box(parties, inputs, outputs, probs)
 
 
+def save_json(data, path) -> None:
+    """Write every JSON file: indent 2, sorted keys, a final newline; digests pin these bytes."""
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def load_json(path):
+    """Read every JSON file; content that does not parse is a ``BoxFormatError``.
+
+    Bad UTF-8, bad JSON, integers past the digit limit and deep nesting all count.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise BoxFormatError("$", f"invalid JSON: {exc}") from exc
+
+
 def save_box(box: Box, path) -> None:
-    Path(path).write_text(json.dumps(box_to_dict(box), indent=2, sort_keys=True) + "\n")
+    save_json(box_to_dict(box), path)
 
 
 def load_box(path) -> Box:
-    text = Path(path).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BoxFormatError("$", f"invalid JSON: {exc}") from exc
-    return box_from_dict(data)
+    return box_from_dict(load_json(path))

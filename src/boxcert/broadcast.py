@@ -505,13 +505,14 @@ def broadcast_scan(alphas, include_full: bool = False) -> ScanReport:
     """Per-alpha verdicts plus anti-robustness values, ordered by alpha.
 
     A row's anti-robustness is the closed form 6/(beta* + 4) at b_alpha,
-    which the tests pin against the anti-robustness LP.
+    which the tests pin against the anti-robustness LP.  Every alpha is
+    range-checked before any LP is solved.
     """
+    instances = [BroadcastInstance(a) for a in sorted(as_fraction(a) for a in alphas)]
     rows = []
-    for alpha in sorted(as_fraction(a) for a in alphas):
-        instance = BroadcastInstance(alpha)
+    for instance in instances:
         projection = projection_feasibility(instance)
         full = full_broadcast_feasibility(instance) if include_full else None
-        value = anti_robustness_closed_form(b_alpha(alpha))
-        rows.append(ScanRow(alpha, instance.p_alpha, projection, full, value))
+        value = anti_robustness_closed_form(b_alpha(instance.alpha))
+        rows.append(ScanRow(instance.alpha, instance.p_alpha, projection, full, value))
     return ScanReport(tuple(rows))

@@ -9,13 +9,11 @@ coordinate anywhere makes verification fail.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import islice
-from pathlib import Path
 
 from .box import Box, BoxError, b_alpha, marginal
-from .boxio import box_from_dict, box_to_dict
+from .boxio import box_from_dict, box_to_dict, load_json, save_json
 from .broadcast import (
     BroadcastInstance,
     ScanReport,
@@ -208,11 +206,11 @@ def scan_certificate(report: ScanReport) -> dict:
 
 
 def save_certificate(data: dict, path) -> None:
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    save_json(data, path)
 
 
-def load_certificate(path) -> dict:
-    return json.loads(Path(path).read_text())
+def load_certificate(path):
+    return load_json(path)
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +218,12 @@ def load_certificate(path) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class CertificateError(Exception):
-    pass
-
-
 def _points_for(box: Box, cut: str):
     if cut == "2x2":
         return _local_vertex_set(box, None)
     if cut == "broadcast":
         return _local_vertex_set(box, BROADCAST_CUT)
-    raise CertificateError(f"unknown cut label {cut!r}")
+    raise ValueError(f"unknown cut label {cut!r}")
 
 
 def _verify_membership(data: dict, errors: list[str]) -> None:
@@ -378,13 +372,13 @@ def verify_certificate(data: dict) -> tuple[bool, list[str]]:
         return False, ["certificate is not a JSON object"]
     errors: list[str] = []
     kind = data.get("kind")
-    if kind not in _VERIFIERS:
+    if not isinstance(kind, str) or kind not in _VERIFIERS:
         return False, [f"unknown certificate kind {kind!r}"]
     version = data.get("format")
     if type(version) is not int or version != FORMAT_VERSION:
         return False, [f"unsupported certificate format {version!r}, expected {FORMAT_VERSION}"]
     try:
         _VERIFIERS[kind](data, errors)
-    except (KeyError, ValueError, TypeError, BoxError, CertificateError) as exc:
+    except (KeyError, ValueError, TypeError, BoxError) as exc:
         errors.append(f"malformed certificate: {exc!r}")
     return (not errors), errors

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .box import Box, require_2x2
+from .box import Box, cells, require_2x2
 
 
 @dataclass(frozen=True)
@@ -25,15 +25,24 @@ class CHSHValue:
     value: Fraction
 
 
+# Per input (x, y), the (flat index, +1 if a == b else -1) terms of the correlator <xy>.
+_CORRELATOR_TERMS = {
+    xy: tuple(
+        (k, 1 if a == b else -1)
+        for k, ((a, b), cell_xy) in enumerate(cells((2, 2), (2, 2)))
+        if cell_xy == xy
+    )
+    for xy in itertools.product((0, 1), repeat=2)
+}
+
+
 def _int_correlators(box: Box) -> tuple[dict[tuple[int, int], int], int]:
     """The four correlators as numerators over the box's common denominator."""
     require_2x2(box)
     nums, den = box.int_view
-    correlators = {}
-    for i, j in itertools.product((0, 1), repeat=2):
-        base = 8 * i + 4 * j  # cells (a,b) = 00, 01, 10, 11 of input (i,j)
-        p00, p01, p10, p11 = nums[base : base + 4]
-        correlators[(i, j)] = p00 - p01 - p10 + p11
+    correlators = {
+        xy: sum(sign * nums[k] for k, sign in terms) for xy, terms in _CORRELATOR_TERMS.items()
+    }
     return correlators, den
 
 

@@ -2,7 +2,9 @@
 hyperplane checks, broadcast certificates, and certificate re-verification.
 
 Exit codes: 0 = check passed / verdict as expected, 1 = property violated
-or inconclusive, 2 = usage or input error.  All JSON output is
+or inconclusive, 2 = usage or input error.  ``main`` turns every
+``BoxError`` and ``OSError`` a verb raises into one ``error:`` line and
+exit 2; any other exception is a fault and propagates.  All JSON output is
 deterministic (sorted keys, no timestamps) so identical inputs and seeds
 produce byte-identical files.
 """
@@ -11,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from fractions import Fraction
 from functools import cache
 
 from .box import BoxError, is_fully_ns
-from .boxio import BoxFormatError, box_to_dict, load_box, save_box
-from .broadcast import BroadcastInstance, RangeError, broadcast_scan, classify_row
+from .boxio import box_to_dict, load_box, save_box
+from .broadcast import broadcast_scan, classify_row
 from .certificates import (
     antirobustness_certificate,
     halfspace_certificate,
@@ -30,17 +31,13 @@ from .certificates import (
 )
 from .chsh import beta, beta_table
 from .polytope import (
-    PreconditionNotMet,
-    UnsupportedShape,
     anti_robustness,
     anti_robustness_closed_form,
     halfspace_body_equality_check,
     hyperplane_locality_check,
 )
-from .rational import RationalFormatError, format_rational, format_rational_short, parse_rational
+from .rational import format_rational, format_rational_short, parse_rational
 from .twirl import line_decomposition, twirl
-
-F = Fraction
 
 
 def _parse_bits(text: str, width: int) -> tuple[int, ...]:
@@ -71,7 +68,7 @@ def _parse_grid(text: str) -> list[Fraction]:
             parse_rational(end_s),
             parse_rational(step_s),
         )
-    except (ValueError, RationalFormatError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from exc
     if step <= 0 or end < start:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}")
@@ -88,24 +85,13 @@ def _write_json(path: str | None, payload) -> None:
         save_certificate(payload, path)
 
 
-def _load_box_or_exit(path: str):
-    try:
-        return load_box(path)
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(2)
-    except (BoxFormatError, BoxError) as exc:
-        print(f"error: malformed box file {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-
-
 # ---------------------------------------------------------------------------
 # Verbs.
 # ---------------------------------------------------------------------------
 
 
 def cmd_validate(args) -> int:
-    box = _load_box_or_exit(args.box)
+    box = load_box(args.box)
     report = is_fully_ns(box)
     print(
         f"box: {box.party_count} parties, inputs {list(box.input_arity)}, "
@@ -128,45 +114,37 @@ def cmd_validate(args) -> int:
 
 
 def cmd_beta(args) -> int:
-    box = _load_box_or_exit(args.box)
-    try:
-        if args.rst is not None:
-            value = beta(box, *args.rst)
-            print(format_rational_short(value))
-            payload = {
-                "kind": "beta",
-                "box": box_to_dict(box),
-                "rst": "".join(map(str, args.rst)),
-                "value": format_rational(value),
-            }
-        else:
-            values, local = beta_table(box)
-            for v in values:
-                print(f"beta_{v.r}{v.s}{v.t} = {format_rational_short(v.value)}")
-            print(f"all within [-2, 2]: {'yes' if local else 'no'}")
-            payload = {
-                "kind": "beta",
-                "box": box_to_dict(box),
-                "values": {
-                    f"{v.r}{v.s}{v.t}": format_rational(v.value) for v in values
-                },
-                "local_flag": local,
-            }
-    except BoxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    box = load_box(args.box)
+    if args.rst is not None:
+        value = beta(box, *args.rst)
+        print(format_rational_short(value))
+        payload = {
+            "kind": "beta",
+            "box": box_to_dict(box),
+            "rst": "".join(map(str, args.rst)),
+            "value": format_rational(value),
+        }
+    else:
+        values, local = beta_table(box)
+        for v in values:
+            print(f"beta_{v.r}{v.s}{v.t} = {format_rational_short(v.value)}")
+        print(f"all within [-2, 2]: {'yes' if local else 'no'}")
+        payload = {
+            "kind": "beta",
+            "box": box_to_dict(box),
+            "values": {
+                f"{v.r}{v.s}{v.t}": format_rational(v.value) for v in values
+            },
+            "local_flag": local,
+        }
     _write_json(args.json, payload)
     return 0
 
 
 def cmd_twirl(args) -> int:
-    box = _load_box_or_exit(args.box)
+    box = load_box(args.box)
     r, s = args.rs
-    try:
-        image = twirl(box, r, s)
-    except BoxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    image = twirl(box, r, s)
     p = line_decomposition(image, r, s)
     print(f"line weight p = {format_rational_short(p)}")
     if args.json:
@@ -175,23 +153,19 @@ def cmd_twirl(args) -> int:
 
 
 def cmd_antirobustness(args) -> int:
-    box = _load_box_or_exit(args.box)
-    try:
-        if args.method == "formula":
-            value = anti_robustness_closed_form(box)
-            print(format_rational_short(value))
-            payload = {
-                "kind": "antirobustness-formula",
-                "box": box_to_dict(box),
-                "value": format_rational(value),
-            }
-        else:
-            result = anti_robustness(box)
-            print(format_rational_short(result.value))
-            payload = antirobustness_certificate(box, result)
-    except (UnsupportedShape, PreconditionNotMet) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    box = load_box(args.box)
+    if args.method == "formula":
+        value = anti_robustness_closed_form(box)
+        print(format_rational_short(value))
+        payload = {
+            "kind": "antirobustness-formula",
+            "box": box_to_dict(box),
+            "value": format_rational(value),
+        }
+    else:
+        result = anti_robustness(box)
+        print(format_rational_short(result.value))
+        payload = antirobustness_certificate(box, result)
     _write_json(args.json, payload)
     return 0
 
@@ -245,34 +219,17 @@ def _broadcast_rows(alphas, args) -> int:
 
 
 def cmd_broadcast_check(args) -> int:
-    try:
-        instance = BroadcastInstance(args.alpha)
-    except RangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _broadcast_rows([instance.alpha], args)
+    return _broadcast_rows([args.alpha], args)
 
 
 def cmd_scan(args) -> int:
-    alphas = args.alpha_grid
-    bad = [a for a in alphas if not F(3, 4) <= a <= 1]
-    if bad:
-        print(f"error: grid values outside [3/4, 1]: {bad}", file=sys.stderr)
-        return 2
-    if not alphas:
+    if not args.alpha_grid:
         print("empty grid")
-    return _broadcast_rows(alphas, args)
+    return _broadcast_rows(args.alpha_grid, args)
 
 
 def cmd_verify_cert(args) -> int:
-    try:
-        data = load_certificate(args.certificate)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.certificate}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
+    data = load_certificate(args.certificate)
     items = data if isinstance(data, list) else [data]
     if not items:
         print("no certificates in file")
@@ -371,8 +328,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except (BoxError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

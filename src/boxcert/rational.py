@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))$|^(-?\d+)$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
 class RationalFormatError(ValueError):
@@ -23,9 +23,10 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise RationalFormatError(f"not a rational 'num/den' or integer: {text!r}")
-    if m.group(3) is not None:
-        return Fraction(int(m.group(3)))
-    num, den = int(m.group(1)), int(m.group(2))
+    try:
+        num, den = int(m.group(1)), int(m.group(2) or 1)
+    except ValueError as exc:  # more digits than the interpreter's int-string limit
+        raise RationalFormatError(str(exc)) from exc
     if den == 0:
         raise RationalFormatError(f"zero denominator: {text!r}")
     return Fraction(num, den)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from boxcert.box import b_alpha, pr_box, tensor
+from boxcert.box import BoxError, b_alpha, pr_box, tensor
 from boxcert.boxio import BoxFormatError, box_from_dict, box_to_dict, load_box, save_box
 
 F = Fraction
@@ -66,6 +66,14 @@ class TestRejection:
         path.write_text("{not json")
         with pytest.raises(BoxFormatError):
             load_box(path)
+
+    def test_entry_past_the_int_digit_limit(self):
+        # past the interpreter's int-string limit the digits do not parse;
+        # with the limit off (0) they do, and the table is not normalized
+        data = box_to_dict(pr_box(0, 0, 0))
+        data["probs"][0] = "1" * 5_000 + "/2"
+        with pytest.raises(BoxError):
+            box_from_dict(data)
 
     def test_wrong_length(self):
         data = box_to_dict(pr_box(0, 0, 0))

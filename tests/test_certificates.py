@@ -203,6 +203,11 @@ class TestMalformedInputsRejected:
         del data["format"]
         assert not verify_certificate(data)[0]
 
+    @pytest.mark.parametrize("kind", [[], {}])
+    def test_unhashable_kind_rejected(self, kind):
+        ok, errors = verify_certificate({"kind": kind, "format": 1})
+        assert (ok, errors) == (False, [f"unknown certificate kind {kind!r}"])
+
     @pytest.mark.parametrize("value", [[], "x"])
     @pytest.mark.parametrize(
         "section, field",

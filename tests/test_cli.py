@@ -4,12 +4,13 @@ import argparse
 import gc
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from boxcert.box import b_alpha, pr_box, uniform_box, make_box
-from boxcert.boxio import save_box
+from boxcert.boxio import box_to_dict, save_box
 from boxcert.certificates import FORMAT_VERSION
 from boxcert import cli
 from boxcert.cli import build_parser, cmd_scan, main
@@ -57,6 +58,50 @@ class TestValidate:
 
     def test_missing_file_exits_two(self):
         assert main(["validate", "/nonexistent/box.json"]) == 2
+
+
+# Files that cannot be read or parsed as JSON, by how each one is made.
+UNREADABLE = {
+    "directory": lambda path: path.mkdir(),
+    "non-utf8": lambda path: path.write_bytes(b"\xff\xfe{"),
+    "deeply-nested": lambda path: path.write_text("[" * 200_000 + "]" * 200_000),
+    "long-integer": lambda path: path.write_text('{"n": ' + "1" * 5_000 + "}"),
+}
+
+
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+class TestUnreadableInputExitsTwo:
+    @pytest.mark.parametrize("verb", ["validate", "verify-cert"])
+    @pytest.mark.parametrize("name", sorted(UNREADABLE))
+    def test_unreadable_file(self, tmp_path, capsys, verb, name):
+        if name == "long-integer" and sys.get_int_max_str_digits() == 0:
+            pytest.skip("the interpreter's int-string digit limit is off")
+        path = tmp_path / name
+        UNREADABLE[name](path)
+        assert main([verb, str(path)]) == 2
+        assert_one_error_line(capsys)
+
+    def test_probability_past_the_int_digit_limit(self, tmp_path, capsys):
+        data = box_to_dict(pr_box(0, 0, 0))
+        data["probs"][0] = "1" * 5_000 + "/2"
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+        assert_one_error_line(capsys)
+
+    def test_json_output_to_a_directory(self, pr_file, tmp_path, capsys):
+        assert main(["validate", pr_file, "--json", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_scan_alpha_out_of_range_before_any_row(self, capsys):
+        assert main(["scan", "--alpha-grid", "7/8:9/8:1/8"]) == 2
+        assert_one_error_line(capsys)
 
 
 class TestBeta:
@@ -318,6 +363,13 @@ class TestVerifyCertRejectsMalformed:
         out = capsys.readouterr().out
         assert "FAILED" in out
         assert "certificate is not a JSON object" in out
+
+    @pytest.mark.parametrize("kind", ["[]", "{}"])
+    def test_unhashable_kind_exits_one(self, tmp_path, capsys, kind):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(f'{{"kind": {kind}, "format": 1}}')
+        assert main(["verify-cert", str(cert_path)]) == 1
+        assert f"unknown certificate kind {kind}" in capsys.readouterr().out
 
     def test_empty_list_exits_one(self, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"
