@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, wraps
 from math import gcd, lcm, prod
 
 from .rational import as_fraction
@@ -265,21 +265,34 @@ def make_box(party_count, input_arity, output_arity, entries) -> Box:
     return Box(ins, outs, probs)
 
 
-def pr_box(r: int, s: int, t: int) -> Box:
-    """The extremal box B_rst: P(a,b|x,y) = 1/2 iff a xor b = xy+rx+sy+t; built once."""
-    if not all(isinstance(bit, int) and bit in (0, 1) for bit in (r, s, t)):
-        raise BoxError("r, s, t must be bits")
-    return _pr_box(r, s, t)
+def rst_cache(build):
+    """``build(r, s, t)``, cached; non-bits raise BoxError each call, before 1.0 hits 1's entry."""
+    cached = cache(build)
+
+    @wraps(build)
+    def checked(r, s, t):
+        if not all(isinstance(bit, int) and bit in (0, 1) for bit in (r, s, t)):
+            raise BoxError("r, s, t must be bits")
+        return cached(int(r), int(s), int(t))
+
+    checked.cache_clear = cached.cache_clear
+    return checked
 
 
-@cache
-def _pr_box(r: int, s: int, t: int) -> Box:
-    half = Fraction(1, 2)
-    probs = [
-        half if (a ^ b) == (x & y) ^ (r & x) ^ (s & y) ^ t else _ZERO
+@rst_cache
+def chsh_game(r: int, s: int, t: int) -> tuple[int, ...]:
+    """Per 2x2 cell in ``cells`` order: +1 if it wins game rst, a xor b = xy+rx+sy+t; else -1."""
+    return tuple(
+        1 if (a ^ b) == (x & y) ^ (r & x) ^ (s & y) ^ t else -1
         for (a, b), (x, y) in cells((2, 2), (2, 2))
-    ]
-    return Box((2, 2), (2, 2), probs)
+    )
+
+
+@rst_cache
+def pr_box(r: int, s: int, t: int) -> Box:
+    """The extremal box B_rst: 1/2 on each cell that wins game rst; built once."""
+    half = Fraction(1, 2)
+    return Box((2, 2), (2, 2), [half if won > 0 else _ZERO for won in chsh_game(r, s, t)])
 
 
 def deterministic_vertices() -> list[Box]:

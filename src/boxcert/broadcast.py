@@ -36,11 +36,14 @@ from .box import (
     BoxError,
     WrongShape,
     b_alpha,
+    cell_map,
     cells,
+    chsh_game,
     is_fully_ns,
     marginal,
     permute_parties,
 )
+from .chsh import parity, subset_correlator
 from .polytope import admixture, anti_robustness_closed_form, mixture
 from .ratlp import Constraint, LinearProgram, LPOutcome, solve
 from .rational import as_fraction
@@ -101,24 +104,22 @@ class FeasibilityVerdict:
 def c1c2_projection(box4: Box) -> JointDist:
     """Joint success/failure statistics of the per-copy CHSH games.
 
-    Inputs are drawn uniformly and independently; copy 1 succeeds when
-    a + b = x*y (mod 2), copy 2 when a' + b' = x'*y'.  The mean of C1
-    equals beta_000 of the AB marginal.
+    Inputs are drawn uniformly and independently; each copy succeeds
+    where its 2x2 cell wins CHSH game 000 (``chsh_game(0, 0, 0)``).  The
+    mean of C1 equals beta_000 of the AB marginal.
     """
     if box4.input_arity != (2, 2, 2, 2) or box4.output_arity != (2, 2, 2, 2):
         raise WrongShape("need a 4-party binary box (A, B, A', B')")
     report = is_fully_ns(box4)
     if not report.fully_ns:
         raise WrongShape("projection needs a fully non-signalling box")
-    totals = {(1, 1): F(0), (1, 2): F(0), (2, 1): F(0), (2, 2): F(0)}
-    weight = F(1, 16)
-    for p, ((a, b, ap, bp), (x, y, xp, yp)) in zip(box4.probs, _CELLS):
-        if p == 0:
-            continue
-        first = 1 if (a ^ b) == (x & y) else 2
-        second = 1 if (ap ^ bp) == (xp & yp) else 2
-        totals[(first, second)] += weight * p
-    return JointDist(totals[(1, 1)], totals[(1, 2)], totals[(2, 1)], totals[(2, 2)])
+    game = chsh_game(0, 0, 0)
+    nums, den = box4.int_view
+    # keyed by each copy's game outcome, +1 won and -1 lost, in p11, p12, p21, p22 order
+    totals = dict.fromkeys(((1, 1), (1, -1), (-1, 1), (-1, -1)), 0)
+    for n, first, second in zip(nums, *_COPY_CELLS):
+        totals[game[first], game[second]] += n
+    return JointDist(*(F(total, 16 * den) for total in totals.values()))
 
 
 # The region S1: four locality inequalities on a symmetric projected
@@ -220,6 +221,11 @@ _WITHIN_COPY = tuple(
 _CROSS_COPY = tuple(S for S in _SUBSETS if S not in _WITHIN_COPY)
 # the 256 cells (a, x) of a 4-party binary table, in flat box order
 _CELLS = cells((2, 2, 2, 2), (2, 2, 2, 2))
+# per 4-party cell, the index of its 2x2 cell in copy (A, B) and in copy (A', B')
+_COPY_CELLS = tuple(
+    cell_map(((2,) * 4, (2,) * 4), ((2, 2), (2, 2)), lambda a, x: (a[i : i + 2], x[i : i + 2]))
+    for i in (0, 2)
+)
 _CROSS_SLOTS = tuple(
     (S, x_s) for S in _CROSS_COPY for x_s in itertools.product((0, 1), repeat=len(S))
 )
@@ -306,29 +312,13 @@ def _vertex_orbit_terms() -> tuple[tuple[tuple[str, Fraction], ...], ...]:
     )
 
 
-def _sign(a: tuple, S: tuple) -> int:
-    """prod_{i in S} (-1)^{a_i}."""
-    return -1 if sum(a[i] for i in S) % 2 else 1
-
-
-def subset_correlator(box: Box, parties: tuple[int, ...], inputs: tuple[int, ...]) -> Fraction:
-    """E_S(x_S) = sum_a P(a|x) * prod_{i in S} (-1)^{a_i}; needs NS to drop x_{S^c}."""
-    x_full = [0] * box.party_count
-    for i, v in zip(parties, inputs):
-        x_full[i] = v
-    total = F(0)
-    for a in box.output_tuples():
-        total += _sign(a, parties) * box.prob(a, tuple(x_full))
-    return total
-
-
 def box_from_correlators(values: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]) -> Box:
     """Rebuild the 4-party table from all 80 subset correlators."""
     probs = []
     for a, x in _CELLS:
         total = F(1)
         for S in _SUBSETS:
-            total += _sign(a, S) * values[(S, tuple(x[i] for i in S))]
+            total += parity(a, S) * values[(S, tuple(x[i] for i in S))]
         probs.append(total / 16)
     return Box((2, 2, 2, 2), (2, 2, 2, 2), tuple(probs))
 
@@ -386,7 +376,7 @@ def full_broadcast_lp(instance: BroadcastInstance) -> LinearProgram:
         fixed_part = F(1)
         e_coeffs: dict[str, Fraction] = {}
         for S in _SUBSETS:
-            sign = _sign(a, S)
+            sign = parity(a, S)
             x_s = tuple(x[i] for i in S)
             if S in _WITHIN_COPY:
                 fixed_part += sign * fixed[(S, x_s)]

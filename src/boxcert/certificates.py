@@ -36,7 +36,7 @@ from .polytope import (
     mixture,
     ray_points,
     _local_vertex_set,
-    _rays,
+    _ray_table,
 )
 from .ratlp import LPOutcome, check_witness
 from .rational import as_fraction, format_rational
@@ -79,11 +79,16 @@ def outcome_to_dict(outcome: LPOutcome) -> dict:
     return data
 
 
-def _items(data, field: str):
-    """The (key, value) pairs of a JSON object field; anything else is malformed."""
+def _object(data, field: str) -> dict:
+    """A JSON object field; anything else is malformed."""
     if not isinstance(data, dict):
         raise TypeError(f"{field} is not a JSON object")
-    return data.items()
+    return data
+
+
+def _items(data, field: str):
+    """The (key, value) pairs of a JSON object field."""
+    return _object(data, field).items()
 
 
 def outcome_from_dict(data: dict) -> LPOutcome:
@@ -268,7 +273,7 @@ def _check_all_pass(data: dict, errors: list[str]) -> None:
 
 def _verify_hyperplane(data: dict, errors: list[str]) -> None:
     """Each stated point must be its row of the apex's ray table, local by its weights."""
-    rays = _rays(*(int(b) for b in data["inputs"]["rst"]))
+    rays = _ray_table(*(int(b) for b in data["inputs"]["rst"]))
     entries = data["result"]["points"]
     if [entry["vertex"] for entry in entries] != [ray.vertex_name for ray in rays]:
         errors.append(f"points are not the {len(rays)} ray points in table order")
@@ -321,29 +326,30 @@ def _verify_halfspace(data: dict, errors: list[str]) -> None:
 
 def _verify_broadcast(data: dict, errors: list[str]) -> None:
     rows = data["result"]["rows"]
-    for entry in rows:
+    # each oracle field is checked and its outcome parsed before its LP is built
+    for i, entry in enumerate(rows):
         alpha = as_fraction(entry["alpha"])
         instance = BroadcastInstance(alpha)
         if as_fraction(entry["p_alpha"]) != instance.p_alpha:
             errors.append(f"alpha={alpha}: stated p_alpha wrong")
         if as_fraction(entry["anti_robustness"]) != anti_robustness_closed_form(b_alpha(alpha)):
             errors.append(f"alpha={alpha}: stated anti_robustness wrong")
-        lp = projection_lp(instance)
-        outcome = outcome_from_dict(entry["projection"]["outcome"])
-        if not check_witness(lp, outcome):
+        projection = _object(entry["projection"], f"rows[{i}].projection")
+        outcome = outcome_from_dict(projection["outcome"])
+        if not check_witness(projection_lp(instance), outcome):
             errors.append(f"alpha={alpha}: projection outcome fails check_witness")
-        if entry["projection"]["feasible"] != (outcome.status == "optimal"):
+        if projection["feasible"] != (outcome.status == "optimal"):
             errors.append(f"alpha={alpha}: projection verdict/status mismatch")
-        if entry.get("full"):
-            full_lp = full_broadcast_lp(instance)
-            full_outcome = outcome_from_dict(entry["full"]["outcome"])
-            if not check_witness(full_lp, full_outcome):
+        if entry.get("full") is not None:
+            full = _object(entry["full"], f"rows[{i}].full")
+            full_outcome = outcome_from_dict(full["outcome"])
+            if not check_witness(full_broadcast_lp(instance), full_outcome):
                 errors.append(f"alpha={alpha}: full-oracle outcome fails check_witness")
-            if entry["full"]["feasible"] != (full_outcome.status == "optimal"):
+            if full["feasible"] != (full_outcome.status == "optimal"):
                 errors.append(f"alpha={alpha}: full verdict/status mismatch")
-            if entry["full"].get("broadcast_copy"):
+            if full.get("broadcast_copy"):
                 bhat = bhat_from_witness(alpha, full_outcome.witness)
-                if bhat != box_from_dict(entry["full"]["broadcast_copy"]):
+                if bhat != box_from_dict(full["broadcast_copy"]):
                     errors.append(
                         f"alpha={alpha}: embedded broadcast copy does not match the witness"
                     )

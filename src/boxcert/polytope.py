@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import islice
 from math import lcm
 from typing import NamedTuple
@@ -33,6 +33,7 @@ from .box import (
     is_fully_ns,
     mix,
     pr_box,
+    rst_cache,
     uniform_box,
 )
 from .chsh import CHSHValue, beta, beta_table, max_beta
@@ -352,7 +353,7 @@ def ray_intersection(r: int, s: int, t: int, vertex: Box) -> RayPoint:
     raise UnsupportedShape("vertex is not one of the 24 extremal NS points")
 
 
-@cache
+@rst_cache
 def _ray_table(r: int, s: int, t: int) -> tuple[RayPoint, ...]:
     """The 23 ray points of apex B_rst, in ``ns_vertices_2x2`` order; built once per apex."""
     apex = pr_box(r, s, t)
@@ -362,13 +363,6 @@ def _ray_table(r: int, s: int, t: int) -> tuple[RayPoint, ...]:
         for name, vertex in ns_vertices_2x2()
         if name != apex_name
     )
-
-
-def _rays(r: int, s: int, t: int) -> tuple[RayPoint, ...]:
-    # pr_box rejects non-bits first: as a cache key, 1.0 would find the entry
-    # for 1; a bool it accepts is keyed as the int it equals
-    pr_box(r, s, t)
-    return _ray_table(int(r), int(s), int(t))
 
 
 @dataclass(frozen=True)
@@ -389,7 +383,7 @@ class HyperplaneReport:
 def hyperplane_locality_check(r: int, s: int, t: int) -> HyperplaneReport:
     """All 23 ray points of apex B_rst satisfy all CHSH facets and are local."""
     checks = []
-    for ray in _rays(r, s, t):
+    for ray in _ray_table(r, s, t):
         values, local_flag = beta_table(ray.point)
         membership = lr_membership(ray.point)
         checks.append(RayPointCheck(ray, tuple(values), local_flag, membership))
@@ -399,7 +393,7 @@ def hyperplane_locality_check(r: int, s: int, t: int) -> HyperplaneReport:
 
 def ray_points(r: int, s: int, t: int) -> tuple[tuple[str, Box], ...]:
     """Apex plus its 23 hyperplane ray points, the candidate hull of beta >= 2."""
-    rays = tuple((f"ray:{ray.vertex_name}", ray.point) for ray in _rays(r, s, t))
+    rays = tuple((f"ray:{ray.vertex_name}", ray.point) for ray in _ray_table(r, s, t))
     return ((f"pr_{r}{s}{t}", pr_box(r, s, t)),) + rays
 
 
@@ -425,7 +419,7 @@ class HalfspaceReport:
 def halfspace_draws(r: int, s: int, t: int, samples: int, seed: int):
     """Seeded draws: ``samples`` weight rows over ``ray_points``, then ``samples`` boxes."""
     rng = rng_from_seed(seed)
-    count = 1 + len(_rays(r, s, t))
+    count = 1 + len(_ray_table(r, s, t))
     for _ in range(samples):
         yield rational_weights(rng, count)
     for _ in range(samples):

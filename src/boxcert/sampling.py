@@ -2,9 +2,9 @@
 
 Random boxes are built from integer draws only, so every sample is an
 exact rational point and runs are reproducible from the seed.  NS boxes
-are convex mixtures of the 24 polytope vertices with weights of bounded
-denominator (default 64), which keeps samples exactly inside the
-polytope.
+are convex mixtures of the 24 polytope vertices with weights of
+denominator ``DEFAULT_DENOMINATOR`` (64), which keeps samples exactly
+inside the polytope.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ def rational_weights(rng: random.Random, count: int, denominator: int = DEFAULT_
     return [Fraction(bounds[i + 1] - bounds[i], denominator) for i in range(count)]
 
 
-def random_rational(rng: random.Random, denominator: int = DEFAULT_DENOMINATOR) -> Fraction:
-    """Uniform k/denominator in [0, 1]."""
-    return Fraction(rng.randint(0, denominator), denominator)
+def random_rational(rng: random.Random) -> Fraction:
+    """Uniform k/DEFAULT_DENOMINATOR in [0, 1]."""
+    return Fraction(rng.randint(0, DEFAULT_DENOMINATOR), DEFAULT_DENOMINATOR)
 
 
 def random_box(rng: random.Random, parties: int = 2, denominator: int = DEFAULT_DENOMINATOR) -> Box:
@@ -46,32 +46,26 @@ def random_box(rng: random.Random, parties: int = 2, denominator: int = DEFAULT_
     return Box((2,) * parties, (2,) * parties, tuple(probs))
 
 
-def random_ns_box(rng: random.Random, denominator: int = DEFAULT_DENOMINATOR) -> Box:
+def random_ns_box(rng: random.Random) -> Box:
     """Random fully-NS 2x2 box: mixture of the 24 extremal points."""
     names_boxes = ns_vertices_2x2()
-    weights = rational_weights(rng, len(names_boxes), denominator)
+    weights = rational_weights(rng, len(names_boxes))
     return convex_combination(weights, [b for _, b in names_boxes])
 
 
-def random_ns_box_with_min_beta(
-    rng: random.Random,
-    r: int,
-    s: int,
-    t: int,
-    denominator: int = DEFAULT_DENOMINATOR,
-) -> Box:
+def random_ns_box_with_min_beta(rng: random.Random, r: int, s: int, t: int) -> Box:
     """Random fully-NS 2x2 box with beta_rst >= 2 exactly.
 
     Mixes a random NS box toward the apex B_rst just far enough; the
     result is still a vertex mixture, so it stays inside the polytope.
     """
-    base = random_ns_box(rng, denominator)
+    base = random_ns_box(rng)
     apex = pr_box(r, s, t)
     beta_base = beta(base, r, s, t)
     if beta_base >= 2:
         return base
     mu_min = (2 - beta_base) / (4 - beta_base)
-    mu = mu_min + (1 - mu_min) * random_rational(rng, denominator)
+    mu = mu_min + (1 - mu_min) * random_rational(rng)
     box = mix(mu, apex, base)
     assert beta(box, r, s, t) >= 2
     return box
@@ -83,12 +77,10 @@ def random_relabeling(rng: random.Random) -> RelabelingOp:
     )
 
 
-def random_relabeling_mixture(
-    rng: random.Random, size: int = 4, denominator: int = DEFAULT_DENOMINATOR
-) -> RelabelingMixture:
+def random_relabeling_mixture(rng: random.Random, size: int = 4) -> RelabelingMixture:
     """Random locality-preserving channel: weighted mixture of relabelings."""
     ops = tuple(random_relabeling(rng) for _ in range(size))
-    weights = tuple(rational_weights(rng, size, denominator))
+    weights = tuple(rational_weights(rng, size))
     return RelabelingMixture(ops, weights)
 
 

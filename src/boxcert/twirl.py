@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .box import Box, WrongShape, _gather, cell_map, cells, require_2x2
+from .box import Box, WrongShape, _gather, cell_map, chsh_game, require_2x2
 from .rational import as_fraction
 
 _SHAPE = ((2, 2), (2, 2))
@@ -124,11 +124,8 @@ def line_decomposition(box: Box, r: int, s: int) -> Fraction | None:
     """Weight p with box = p*B_rs0 + (1-p)*B_rs1 exactly, or None if off the line."""
     require_2x2(box)
     nums, den = box.int_view
-    # every cell must give the same p: 2P on the t = 0 correlation, 1 - 2P off it
-    weights = {
-        2 * n if (a ^ b) == (x & y) ^ (r & x) ^ (s & y) else den - 2 * n
-        for n, ((a, b), (x, y)) in zip(nums, cells(*_SHAPE))
-    }
+    # every cell must give the same p: 2P where game rs0 is won, 1 - 2P where it is lost
+    weights = {2 * n if won > 0 else den - 2 * n for n, won in zip(nums, chsh_game(r, s, 0))}
     return Fraction(weights.pop(), den) if len(weights) == 1 else None
 
 

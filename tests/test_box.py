@@ -7,6 +7,7 @@ import pytest
 
 from boxcert.box import (
     Box,
+    BoxError,
     Cut,
     MarginalIllDefined,
     NegativeEntry,
@@ -14,6 +15,7 @@ from boxcert.box import (
     ShapeMismatch,
     WeightOutOfRange,
     b_alpha,
+    chsh_game,
     deterministic_vertices,
     is_fully_ns,
     is_ns_in_cut,
@@ -117,6 +119,24 @@ class TestPRBox:
         for _ in range(2):
             with pytest.raises(BoxError):
                 pr_box(*bits)
+
+
+class TestCHSHGame:
+    def test_pr_box_is_half_on_won_cells(self):
+        for rst in itertools.product((0, 1), repeat=3):
+            expected = [F(1, 2) if won == 1 else F(0) for won in chsh_game(*rst)]
+            assert list(pr_box(*rst).probs) == expected
+
+    @pytest.mark.parametrize("bad", [2, -1, 1.0, "1"])
+    def test_non_bits_rejected_before_and_after_caching(self, bad):
+        chsh_game.cache_clear()
+        for _ in range(2):  # before and after the table for (1, 0, 0) is cached
+            for position in range(3):
+                bits = [1, 0, 0]
+                bits[position] = bad
+                with pytest.raises(BoxError):
+                    chsh_game(*bits)
+            chsh_game(1, 0, 0)
 
 
 class TestDeterministicVertices:

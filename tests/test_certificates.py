@@ -220,6 +220,23 @@ class TestMalformedInputsRejected:
         name = field if section == "result" else f"outcome.{field}"
         assert (ok, errors) == (False, [f"malformed certificate: TypeError('{name} is not a JSON object')"])
 
+    @pytest.mark.parametrize("full", [1, "x", [1], True, {"feasible": True}])
+    def test_malformed_full_row_builds_no_lp(self, monkeypatch, full):
+        import boxcert.certificates
+
+        builds = []
+        monkeypatch.setattr(
+            boxcert.certificates, "full_broadcast_lp", lambda instance: builds.append(instance)
+        )
+        data = roundtrip(scan_certificate(broadcast_scan([F(7, 8)])))
+        data["result"]["rows"][0]["full"] = full
+        if isinstance(full, dict):
+            reason = "KeyError('outcome')"
+        else:
+            reason = "TypeError('rows[0].full is not a JSON object')"
+        assert verify_certificate(data) == (False, [f"malformed certificate: {reason}"])
+        assert builds == []
+
 
 class TestCutLabel:
     def test_four_party_membership_certificate_verifies(self):

@@ -5,7 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from boxcert.box import WrongShape, b_alpha, deterministic_vertices, mix, pr_box, uniform_box
+from boxcert.box import (
+    BoxError,
+    WrongShape,
+    b_alpha,
+    chsh_game,
+    deterministic_vertices,
+    mix,
+    pr_box,
+    tensor,
+    uniform_box,
+)
+from boxcert.broadcast import c1c2_projection
 from boxcert.chsh import beta, beta_cell_coefficients, beta_table, correlator, max_beta
 from boxcert.sampling import random_box, random_rational, rng_from_seed
 
@@ -122,3 +133,33 @@ class TestBetaTable:
         assert value == 0
         assert rst == (0, 0, 0)
         assert max_beta(b_alpha(F(7, 8))) == ((0, 0, 0), F(3))
+
+
+class TestOneGameTable:
+    def test_beta_is_the_correlator_formula(self):
+        rng = rng_from_seed(15)
+        boxes = [pr_box(*rst) for rst in itertools.product((0, 1), repeat=3)]
+        boxes += [random_box(rng) for _ in range(30)]
+        for box in boxes:
+            for r, s, t in itertools.product((0, 1), repeat=3):
+                formula = sum(
+                    (-1) ** (x * y + r * x + s * y + t) * correlator(box, x, y)
+                    for x, y in itertools.product((0, 1), repeat=2)
+                )
+                assert beta(box, r, s, t) == formula
+
+    def test_projection_of_two_line_boxes(self):
+        rng = rng_from_seed(16)
+        for _ in range(10):
+            a, b = random_rational(rng), random_rational(rng)
+            dist = c1c2_projection(tensor(b_alpha(a), b_alpha(b)))
+            assert dist.as_tuple() == (a * b, a * (1 - b), (1 - a) * b, (1 - a) * (1 - b))
+
+    @pytest.mark.parametrize("bad", [2, -1, 1.0, "1"])
+    def test_beta_rejects_non_bits_before_and_after_caching(self, bad):
+        box = pr_box(1, 0, 0)
+        chsh_game.cache_clear()
+        for _ in range(2):  # before and after the table for (1, 0, 0) is cached
+            with pytest.raises(BoxError):
+                beta(box, bad, 0, 0)
+            assert beta(box, 1, 0, 0) == 4
