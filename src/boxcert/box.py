@@ -265,15 +265,20 @@ def make_box(party_count, input_arity, output_arity, entries) -> Box:
     return Box(ins, outs, probs)
 
 
+def are_bits(*values) -> bool:
+    """Whether every value is an int 0 or 1; 1.0 is not, though it equals and hashes as 1."""
+    return all(isinstance(v, int) and v in (0, 1) for v in values)
+
+
 def rst_cache(build):
-    """``build(r, s, t)``, cached; non-bits raise BoxError each call, before 1.0 hits 1's entry."""
+    """``build(*bits)``, cached; non-bits raise BoxError each call, before 1.0 hits 1's entry."""
     cached = cache(build)
 
     @wraps(build)
-    def checked(r, s, t):
-        if not all(isinstance(bit, int) and bit in (0, 1) for bit in (r, s, t)):
-            raise BoxError("r, s, t must be bits")
-        return cached(int(r), int(s), int(t))
+    def checked(*bits):
+        if not are_bits(*bits):
+            raise BoxError(f"arguments must be bits, got {bits}")
+        return cached(*map(int, bits))
 
     checked.cache_clear = cached.cache_clear
     return checked

@@ -13,6 +13,11 @@ Everything here reduces to exact LPs over named vertex sets:
   ray point; all 184 ray points are local, and sampled two-sided checks
   certify that the beta >= 2 part of the NS polytope is exactly the hull
   of the apex and its 23 ray points.
+* the ray points need no LP: the local facet beta_rst = 2 is a simplex
+  of the 8 deterministic vertices that lose game rst on exactly one
+  cell each, no two on the same cell.  A box on the facet therefore puts
+  weight P(that cell) on each of them; it is local exactly when those
+  weights reconstruct it, which is checked by substitution.
 """
 
 from __future__ import annotations
@@ -29,10 +34,12 @@ from .box import (
     BoxError,
     Cut,
     cells,
+    chsh_game,
     convex_combination,
     is_fully_ns,
     mix,
     pr_box,
+    require_2x2,
     rst_cache,
     uniform_box,
 )
@@ -43,7 +50,7 @@ from .sampling import (
     rational_weights,
     rng_from_seed,
 )
-from .vertices import broadcast_local_vertices, ns_vertices_2x2
+from .vertices import broadcast_local_vertices, local_vertices_2x2, ns_vertices_2x2
 
 F = Fraction
 _ZERO = F(0)
@@ -366,11 +373,52 @@ def _ray_table(r: int, s: int, t: int) -> tuple[RayPoint, ...]:
 
 
 @dataclass(frozen=True)
+class FacetMembership:
+    """Locality of a box on a CHSH facet, with the facet weights of a member."""
+
+    member: bool
+    weights: dict[str, Fraction] | None
+
+
+@rst_cache
+def _facet_table(r: int, s: int, t: int) -> tuple[tuple[int, str], ...]:
+    """The vertices of the local facet beta_rst = 2, each with the one cell it loses.
+
+    Pairs ``(cell index, vertex name)``, in ``local_vertices_2x2`` order.
+    """
+    game = chsh_game(r, s, t)
+    facet = []
+    for name, vertex in local_vertices_2x2():
+        lost = [k for k, (n, won) in enumerate(zip(vertex.int_view[0], game)) if n and won < 0]
+        if len(lost) == 1:
+            facet.append((lost[0], name))
+    return tuple(facet)
+
+
+def facet_membership(box: Box, r: int, s: int, t: int) -> FacetMembership:
+    """Locality of a 2x2 box on the facet beta_rst = 2, without an LP.
+
+    No other facet vertex has weight on the cell a facet vertex loses, so
+    that cell's entry is the vertex's weight.  The weights sum to 1
+    exactly when beta_rst = 2; the box is a member when they reconstruct it.
+    """
+    require_2x2(box)
+    facet = _facet_table(r, s, t)
+    nums, den = box.int_view
+    if sum(nums[k] for k, _ in facet) != den:
+        return FacetMembership(False, None)
+    weights = {name: box.probs[k] for k, name in facet if nums[k]}
+    if mixture(weights, local_vertices_2x2()) != box:
+        return FacetMembership(False, None)
+    return FacetMembership(True, weights)
+
+
+@dataclass(frozen=True)
 class RayPointCheck:
     ray: RayPoint
     betas: tuple[CHSHValue, ...]
     within_all_facets: bool
-    membership: MembershipCertificate
+    membership: FacetMembership
 
 
 @dataclass(frozen=True)
@@ -385,7 +433,7 @@ def hyperplane_locality_check(r: int, s: int, t: int) -> HyperplaneReport:
     checks = []
     for ray in _ray_table(r, s, t):
         values, local_flag = beta_table(ray.point)
-        membership = lr_membership(ray.point)
+        membership = facet_membership(ray.point, r, s, t)
         checks.append(RayPointCheck(ray, tuple(values), local_flag, membership))
     all_pass = all(c.within_all_facets and c.membership.member for c in checks)
     return HyperplaneReport((r, s, t), tuple(checks), all_pass)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .box import Box, WrongShape, _gather, cell_map, chsh_game, require_2x2
+from .box import Box, WrongShape, _gather, are_bits, cell_map, chsh_game, require_2x2, rst_cache
 from .rational import as_fraction
 
 _SHAPE = ((2, 2), (2, 2))
@@ -45,9 +45,8 @@ class RelabelingOp:
     s: int
 
     def __post_init__(self):
-        for bit in (self.delta, self.gamma, self.theta, self.r, self.s):
-            if bit not in (0, 1):
-                raise WrongShape("relabeling parameters must be bits")
+        if not are_bits(self.delta, self.gamma, self.theta, self.r, self.s):
+            raise WrongShape("relabeling parameters must be bits")
 
     def source_event(self, a: int, b: int, x: int, y: int) -> tuple[int, int, int, int]:
         """The (a,b,x,y) of the original box that feeds cell (a,b,x,y) of the image."""
@@ -93,6 +92,10 @@ class TwirlChannel:
     r: int
     s: int
 
+    def __post_init__(self):
+        if not are_bits(self.r, self.s):
+            raise WrongShape("twirl parameters must be bits")
+
     @property
     def members(self) -> tuple[RelabelingOp, ...]:
         return tuple(
@@ -106,12 +109,9 @@ class TwirlChannel:
         return _gather(box, _SHAPE, _twirl_terms(self.r, self.s))
 
 
-@cache
+@rst_cache
 def _twirl_terms(r: int, s: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Weight 1 and the source index of each member of tau_rs, built once per (r, s).
-
-    Non-bits raise from ``members`` on every call: a raising call caches nothing.
-    """
+    """Weight 1 and the source index of each member of tau_rs, built once per (r, s)."""
     return tuple((1, op.source_index) for op in TwirlChannel(r, s).members)
 
 

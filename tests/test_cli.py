@@ -287,6 +287,25 @@ class TestPinnedCertificates:
         digest = hashlib.sha256(cert_path.read_bytes()).hexdigest()
         assert digest == "79a30e607a55ccd01e8909870d40f49e6265999fdb9d3bb5573ea8b54c59fa63"
 
+    HYPERPLANE_DIGESTS = {
+        "000": "b95d9d4763c29498dd38d5dbca7b53ebf135b3b1ab55cbf5f57f5554abbc2134",
+        "001": "7d53544d90e97df36c018d5c128e8043b3b464915d45ef80a7fe88f4c287c8c4",
+        "010": "8c4dad29bc3d479d727342ff91ddb52d314116d395bc16db4ca12a9f52e204c6",
+        "011": "370cc024976bf70f4de97dc1a23309a58cbcb1bc8c99dc449f20a450caeb8e55",
+        "100": "8edca99125f89c2f00160939c31d33bd98c87dd85a1c4a248d225a1a8792a306",
+        "101": "352ae80ee7516dca516a5b1e112001193df6b1c24bfca5b3579989eb26d8dfcc",
+        "110": "18a198ed0e8984afceec94f8c3b24801e48a430f96818d8ebd6fcb69543670fc",
+        "111": "adf0e0de512b69f74e6379c3470a2d16d7c739f07fd3b56d23bf5548574e43d6",
+    }
+
+    @pytest.mark.parametrize("rst", sorted(HYPERPLANE_DIGESTS))
+    def test_hyperplane_every_apex(self, rst, tmp_path):
+        cert_path = tmp_path / "hyperplane.json"
+        argv = ["hyperplane-check", "--rst", rst, "--samples", "0", "--json", str(cert_path)]
+        assert main(argv) == 0
+        digest = hashlib.sha256(cert_path.read_bytes()).hexdigest()
+        assert digest == self.HYPERPLANE_DIGESTS[rst]
+
     def test_scan_across_the_window(self, tmp_path):
         # rows in (3/4, 4/5] are not certified, so the scan exits 1
         cert_path = tmp_path / "scan.json"

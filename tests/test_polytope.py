@@ -11,13 +11,14 @@ from boxcert.box import (
     convex_combination,
     deterministic_vertices,
     is_fully_ns,
+    make_box,
     mix,
     pr_box,
     tensor,
     uniform_box,
 )
 from boxcert.chsh import beta, beta_cell_coefficients, beta_table
-from boxcert import polytope
+from boxcert import polytope, ratlp
 from boxcert.polytope import (
     BROADCAST_CUT,
     DegenerateRay,
@@ -26,6 +27,7 @@ from boxcert.polytope import (
     anti_robustness,
     anti_robustness_closed_form,
     anti_robustness_lp,
+    facet_membership,
     halfspace_body_equality_check,
     hyperplane_locality_check,
     lr_membership,
@@ -273,6 +275,51 @@ class TestHyperplane:
             for name, point in ray_points(r, s, t):
                 if name.startswith("ray:"):
                     assert beta(point, r, s, t) == 2
+
+
+class TestFacetMembership:
+    @pytest.mark.parametrize("rst", list(itertools.product((0, 1), repeat=3)))
+    def test_facet_weights_equal_the_lp_witness(self, rst):
+        for check in hyperplane_locality_check(*rst).checks:
+            expected = lr_membership(check.ray.point)
+            assert expected.member and check.membership.member
+            assert list(check.membership.weights.items()) == list(expected.weights.items())
+
+    def test_facet_is_eight_vertices_losing_distinct_cells(self):
+        for rst in itertools.product((0, 1), repeat=3):
+            facet = polytope._facet_table(*rst)
+            assert len(facet) == 8
+            assert len({k for k, _ in facet}) == 8
+            assert all(beta(vertex_by_name(name), *rst) == 2 for _, name in facet)
+
+    def test_hyperplane_check_solves_no_lp(self, monkeypatch):
+        calls = []
+
+        def counting_solve(lp, *args, **kwargs):
+            calls.append(lp)
+            return solve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(ratlp, "solve", counting_solve)
+        monkeypatch.setattr(polytope, "solve", counting_solve)
+        for rst in itertools.product((0, 1), repeat=3):
+            assert hyperplane_locality_check(*rst).all_pass
+        assert calls == []
+
+    def test_box_off_the_facet_is_not_a_member(self):
+        box = b_alpha(F(7, 8))
+        assert beta(box, 0, 0, 0) == 3
+        membership = facet_membership(box, 0, 0, 0)
+        assert not membership.member and membership.weights is None
+
+    def test_signalling_box_on_the_hyperplane_is_not_a_member(self):
+        # beta_000 = 2, but P(b=0|y) depends on x: no mixture of vertices gives it
+        box = make_box(2, (2, 2), (2, 2), (1, 0, 0, 0) * 2 + ("1/2", 0, 0, "1/2") * 2)
+        assert beta(box, 0, 0, 0) == 2 and not is_fully_ns(box).fully_ns
+        assert not facet_membership(box, 0, 0, 0).member
+
+    def test_non_bits_rejected(self):
+        with pytest.raises(BoxError):
+            facet_membership(b_alpha(F(3, 4)), 1.0, 0, 0)
 
 
 def reference_rays(r, s, t):

@@ -1,11 +1,13 @@
 """Relabeling symmetries, twirl channels, line decomposition."""
 
+import importlib
 import itertools
 from fractions import Fraction
 
 import pytest
 
 from boxcert.box import (
+    BoxError,
     WrongShape,
     b_alpha,
     convex_combination,
@@ -28,6 +30,8 @@ from boxcert.twirl import (
 )
 
 F = Fraction
+# the package exports the function ``twirl``, which hides the module of that name
+twirl_module = importlib.import_module("boxcert.twirl")
 
 
 class TestRelabelingOp:
@@ -146,6 +150,22 @@ class TestLineDecomposition:
 
 
 class TestChannels:
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_float_bit_rejected_on_a_cold_and_a_warm_cache(self, warm):
+        box = b_alpha(1)
+        twirl_module._twirl_terms.cache_clear()
+        if warm:
+            twirl(box, 1, 0)
+        for _ in range(2):
+            for call in (
+                lambda: twirl(box, 1.0, 0),
+                lambda: TwirlChannel(0, 1.0),
+                lambda: RelabelingOp(0, 0, 0, 1.0, 0),
+                lambda: twirl_module._twirl_terms(1.0, 0),
+            ):
+                with pytest.raises(BoxError):
+                    call()
+
     def test_non_bit_twirl_rejected_on_every_call(self):
         box = pr_box(0, 0, 0)
         for _ in range(3):
