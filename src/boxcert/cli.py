@@ -280,7 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("antirobustness", help="anti-robustness of a fully-NS box")
     p.add_argument("box")
-    p.add_argument("--method", choices=("lp", "formula"), default="lp")
+    p.add_argument(
+        "--method",
+        choices=("lp", "formula"),
+        default="lp",
+        help="lp: the value with an LP certificate, which verify-cert checks against "
+        "the rebuilt LP (for beta* > 2 read off the CHSH facet, without a solve); "
+        "formula: 6/(beta*+4) alone, for beta* >= 2",
+    )
     p.add_argument("--json", help="write the certificate")
     p.set_defaults(func=cmd_antirobustness)
 

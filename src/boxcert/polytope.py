@@ -18,6 +18,12 @@ Everything here reduces to exact LPs over named vertex sets:
   cell each, no two on the same cell.  A box on the facet therefore puts
   weight P(that cell) on each of them; it is local exactly when those
   weights reconstruct it, which is checked by substitution.
+* a 2x2 box with beta* = beta_rst > 2 needs no LP either: its
+  anti-robustness optimum (q = 6/(beta*+4), admixture the anti-PR box,
+  weights read off the facet) and, when it is fully NS, its membership Farkas
+  vector have closed forms, built as the ``LPOutcome`` the solver would
+  return.  Local boxes, signalling boxes' membership and the 4-party cut
+  still solve.
 """
 
 from __future__ import annotations
@@ -230,17 +236,25 @@ class MembershipCertificate:
 
 
 def lr_membership(box: Box, cut: Cut | None = None) -> MembershipCertificate:
-    """Exact LP membership in the local polytope, with certificate."""
+    """Exact LP membership in the local polytope, with certificate.
+
+    A fully NS 2x2 box violating a CHSH facet gets that facet's Farkas
+    vector without a solve; it violates no other.
+    """
     points = _local_vertex_set(box, cut)
     lp = membership_lp(box, points)
-    outcome = solve(lp)
-    if outcome.status == "optimal":
-        weights = named_weights(outcome.witness, points)
-        return MembershipCertificate(True, weights, None, (), lp, outcome)
     facets: tuple[CHSHValue, ...] = ()
     if box.is_binary_bipartite():
         values, _ = beta_table(box)
         facets = tuple(v for v in values if v.value > 2)
+    if facets and is_fully_ns(box).fully_ns:
+        (v,) = facets
+        outcome = LPOutcome("infeasible", farkas=dict(_facet_farkas(v.r, v.s, v.t)))
+    else:
+        outcome = solve(lp)
+    if outcome.status == "optimal":
+        weights = named_weights(outcome.witness, points)
+        return MembershipCertificate(True, weights, None, (), lp, outcome)
     return MembershipCertificate(False, None, outcome.farkas, facets, lp, outcome)
 
 
@@ -300,16 +314,20 @@ def anti_robustness(box: Box, cut: Cut | None = None) -> AntiRobustnessResult:
 
     The witness L = q*box + (1-q)*X is returned together with X and the
     convex weights certifying L's membership.  For local boxes q = 1 and
-    X is reported as the maximally mixed box.
+    X is reported as the maximally mixed box.  A 2x2 box with beta* > 2
+    gets the LP's optimum from the CHSH facet, without a solve.
     """
     report = is_fully_ns(box)
     if not report.fully_ns:
         raise UnsupportedShape("anti-robustness needs a fully non-signalling box")
     points = _local_vertex_set(box, cut)
     lp = anti_robustness_lp(box, points)
-    outcome = solve(lp)
-    if outcome.status != "optimal":
-        raise RuntimeError(f"anti-robustness LP ended {outcome.status}")
+    if box.is_binary_bipartite() and (peak := _chsh_peak(box)).beta > 2:
+        outcome = _facet_optimum(box, peak, points)
+    else:
+        outcome = solve(lp)
+        if outcome.status != "optimal":
+            raise RuntimeError(f"anti-robustness LP ended {outcome.status}")
     q = outcome.witness["q"]
     weights = named_weights(outcome.witness, points)
     local_witness = mixture(weights, points)
@@ -327,10 +345,23 @@ def anti_robustness_closed_form(box: Box) -> Fraction:
     """
     if not box.is_binary_bipartite():
         raise UnsupportedShape("closed form defined for 2-party binary boxes")
-    _, best = max_beta(box)
-    if best < 2:
-        raise PreconditionNotMet(f"max beta {best} < 2")
-    return F(6) / (best + 4)
+    peak = _chsh_peak(box)
+    if peak.beta < 2:
+        raise PreconditionNotMet(f"max beta {peak.beta} < 2")
+    return peak.q
+
+
+class _Peak(NamedTuple):
+    """A 2x2 box's largest CHSH value ``beta`` = beta_rst and q = 6/(beta+4)."""
+
+    rst: tuple[int, int, int]
+    beta: Fraction
+    q: Fraction
+
+
+def _chsh_peak(box: Box) -> _Peak:
+    rst, best = max_beta(box)
+    return _Peak(rst, best, F(6) / (best + 4))
 
 
 @dataclass(frozen=True)
@@ -411,6 +442,49 @@ def facet_membership(box: Box, r: int, s: int, t: int) -> FacetMembership:
     if mixture(weights, local_vertices_2x2()) != box:
         return FacetMembership(False, None)
     return FacetMembership(True, weights)
+
+
+def _facet_optimum(box: Box, peak: _Peak, points) -> LPOutcome:
+    """The anti-robustness LP's optimum for a 2x2 box with beta* > 2, without a solve.
+
+    The admixture is the anti-PR box of game rst (beta_rst = -4), which
+    puts L = q*box + (1-q)*X on the facet beta_rst = 2, a simplex; so the
+    weights are L's facet weights.  The dual puts y = 2/(beta*+4) on the
+    cell rows game rst wins, q on the normalization row, and q - y on the
+    bound of each vertex off the facet, which wins one cell, not three.
+    """
+    r, s, t = peak.rst
+    q = peak.q
+    on_facet = facet_membership(mix(q, box, pr_box(r, s, 1 - t)), r, s, t)
+    if not on_facet.member:
+        raise RuntimeError(f"q*box + (1-q)*X is off the facet beta_{r}{s}{t} = 2")
+    witness = {"q": q}
+    witness.update((f"w:{name}", on_facet.weights.get(name, _ZERO)) for name, _ in points)
+    y = F(2) / (peak.beta + 4)
+    game = chsh_game(r, s, t)
+    dual = {("con", k): y for k, won in enumerate(game) if won > 0}
+    dual[("con", len(game))] = q
+    facet = {name for _, name in _facet_table(r, s, t)}
+    dual.update((("lb", f"w:{name}"), q - y) for name, _ in points if name not in facet)
+    return LPOutcome("optimal", witness, q, dual)
+
+
+@rst_cache
+def _facet_farkas(r: int, s: int, t: int) -> dict[tuple, Fraction]:
+    """The membership LP's Farkas vector for every fully NS 2x2 box with beta_rst > 2.
+
+    4 on the cell rows game rst loses, -1 on those it wins and on the
+    normalization row, and 10 on the bound of each vertex losing three
+    cells: every weight's column sums to 0, and the right-hand side to
+    5 - 5*beta_rst/2 < 0.  Callers copy it; nothing writes to it.
+    """
+    game = chsh_game(r, s, t)
+    farkas = {("con", k): F(-1 if won > 0 else 4) for k, won in enumerate(game)}
+    farkas[("con", len(game))] = F(-1)
+    for name, vertex in local_vertices_2x2():
+        if beta(vertex, r, s, t) == -2:
+            farkas[("lb", f"w:{name}")] = F(10)
+    return farkas
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,13 @@ def random_box(rng: random.Random, parties: int = 2, denominator: int = DEFAULT_
 
 
 def random_ns_box(rng: random.Random) -> Box:
-    """Random fully-NS 2x2 box: mixture of the 24 extremal points."""
+    """Random fully-NS 2x2 box: mixture of the 24 extremal points.
+
+    In practice it does not reach the non-local region: the weights spread
+    over all 24 vertices, so no PR box dominates (over 10,000 draws from
+    seed 12345 the largest beta* was 59/32).  Use
+    ``random_ns_box_with_min_beta`` for non-local boxes.
+    """
     names_boxes = ns_vertices_2x2()
     weights = rational_weights(rng, len(names_boxes))
     return convex_combination(weights, [b for _, b in names_boxes])

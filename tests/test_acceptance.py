@@ -236,6 +236,33 @@ def test_criterion_7_monotonicity():
     )
 
 
+def test_monotonicity_on_non_local_boxes():
+    # criterion 7's boxes are all local, where every value is 1; these are not
+    rng = rng_from_seed(0)
+    channels = [TwirlChannel(r, s).apply for r, s in itertools.product((0, 1), repeat=2)]
+    channels += [
+        (lambda op: (lambda box: apply_relabeling(op, box)))(op)
+        for op in all_relabelings()
+    ]
+    mix_rng = rng_from_seed(1)
+    channels += [
+        random_relabeling_mixture(mix_rng, size=4).apply for _ in range(20)
+    ]
+    assert len(channels) == 56
+    strict = 0
+    for _ in range(20):
+        r, s, t = (rng.randint(0, 1) for _ in range(3))
+        box = random_ns_box_with_min_beta(rng, r, s, t)
+        assert not beta_table(box)[1]
+        base = anti_robustness(box).value
+        assert base < 1
+        for channel in channels:
+            value = anti_robustness(channel(box)).value
+            assert value >= base
+            strict += value > base
+    assert strict == 386
+
+
 def test_criterion_8_twirl_commutation():
     start = time.monotonic()
     for r, s, t in itertools.product((0, 1), repeat=3):

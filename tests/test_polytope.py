@@ -8,6 +8,7 @@ import pytest
 from boxcert.box import (
     BoxError,
     b_alpha,
+    chsh_game,
     convex_combination,
     deterministic_vertices,
     is_fully_ns,
@@ -17,7 +18,8 @@ from boxcert.box import (
     tensor,
     uniform_box,
 )
-from boxcert.chsh import beta, beta_cell_coefficients, beta_table
+from boxcert.certificates import outcome_to_dict
+from boxcert.chsh import beta, beta_cell_coefficients, beta_table, max_beta
 from boxcert import polytope, ratlp
 from boxcert.polytope import (
     BROADCAST_CUT,
@@ -32,6 +34,7 @@ from boxcert.polytope import (
     hyperplane_locality_check,
     lr_membership,
     membership_lp,
+    named_weights,
     ray_intersection,
     ray_points,
 )
@@ -230,7 +233,8 @@ class TestClosedForm:
             if lr_membership(box).member:
                 continue
             count += 1
-            assert anti_robustness_closed_form(box) == anti_robustness(box).value
+            lp = anti_robustness_lp(box, ns_vertices_2x2()[:16])
+            assert anti_robustness_closed_form(box) == solve(lp).objective_value
 
 
 class TestRayIntersection:
@@ -277,6 +281,19 @@ class TestHyperplane:
                     assert beta(point, r, s, t) == 2
 
 
+def counting_solver(monkeypatch):
+    """Route every ``solve`` through a counter; returns the list of LPs solved."""
+    calls = []
+
+    def counting_solve(lp, *args, **kwargs):
+        calls.append(lp)
+        return solve(lp, *args, **kwargs)
+
+    monkeypatch.setattr(ratlp, "solve", counting_solve)
+    monkeypatch.setattr(polytope, "solve", counting_solve)
+    return calls
+
+
 class TestFacetMembership:
     @pytest.mark.parametrize("rst", list(itertools.product((0, 1), repeat=3)))
     def test_facet_weights_equal_the_lp_witness(self, rst):
@@ -293,14 +310,7 @@ class TestFacetMembership:
             assert all(beta(vertex_by_name(name), *rst) == 2 for _, name in facet)
 
     def test_hyperplane_check_solves_no_lp(self, monkeypatch):
-        calls = []
-
-        def counting_solve(lp, *args, **kwargs):
-            calls.append(lp)
-            return solve(lp, *args, **kwargs)
-
-        monkeypatch.setattr(ratlp, "solve", counting_solve)
-        monkeypatch.setattr(polytope, "solve", counting_solve)
+        calls = counting_solver(monkeypatch)
         for rst in itertools.product((0, 1), repeat=3):
             assert hyperplane_locality_check(*rst).all_pass
         assert calls == []
@@ -320,6 +330,119 @@ class TestFacetMembership:
     def test_non_bits_rejected(self):
         with pytest.raises(BoxError):
             facet_membership(b_alpha(F(3, 4)), 1.0, 0, 0)
+
+
+def non_local_draws():
+    """The non-local boxes among 300 seeded draws around random apexes."""
+    rng = rng_from_seed(0)
+    boxes = []
+    for _ in range(300):
+        r, s, t = (rng.randint(0, 1) for _ in range(3))
+        boxes.append(random_ns_box_with_min_beta(rng, r, s, t))
+    return [box for box in boxes if max_beta(box)[1] > 2]
+
+
+def degenerate_non_local_boxes():
+    """Non-local boxes with zero entries or ties: PR boxes, the line, mixtures, midpoints."""
+    prs = [box for _, box in ns_vertices_2x2()[16:]]
+    boxes = prs + [b_alpha(F(k, 96)) for k in range(97)]
+    boxes += [
+        mix(lam, pr, det)
+        for pr in prs
+        for det in deterministic_vertices()
+        for lam in (F(1, 3), F(1, 2), F(2, 3), F(9, 10))
+    ]
+    vertices = [box for _, box in ns_vertices_2x2()]
+    boxes += [mix(F(1, 2), a, b) for a, b in itertools.combinations(vertices, 2)]
+    return [box for box in boxes if max_beta(box)[1] > 2]
+
+
+CORPORA = {"draws": non_local_draws, "degenerate": degenerate_non_local_boxes}
+POINTS_2X2 = ns_vertices_2x2()[:16]
+
+
+class TestFacetClosedForms:
+    """Non-local 2x2 verdicts read off the CHSH facet are the solver's outcomes."""
+
+    def test_corpus_sizes(self):
+        assert len(non_local_draws()) == 295
+        assert len(degenerate_non_local_boxes()) == 440
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_anti_robustness_is_the_solvers_optimum(self, corpus):
+        for box in CORPORA[corpus]():
+            result = anti_robustness(box)
+            expected = solve(anti_robustness_lp(box, POINTS_2X2))
+            assert outcome_to_dict(result.outcome) == outcome_to_dict(expected)
+            assert list(result.outcome.dual) == list(expected.dual)
+            assert check_witness(result.lp, result.outcome)
+            (r, s, t), best = max_beta(box)
+            assert result.value == F(6) / (best + 4)
+            assert result.weights == named_weights(expected.witness, POINTS_2X2)
+            assert result.admixture_witness == pr_box(r, s, 1 - t)
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_membership_is_the_solvers_farkas_vector(self, corpus):
+        for box in CORPORA[corpus]():
+            cert = lr_membership(box)
+            expected = solve(membership_lp(box, POINTS_2X2))
+            assert outcome_to_dict(cert.outcome) == outcome_to_dict(expected)
+            assert list(cert.farkas) == list(expected.farkas)
+            assert check_witness(cert.lp, cert.outcome)
+            assert not cert.member and cert.weights is None
+            assert [(v.r, v.s, v.t) for v in cert.violated_facets] == [max_beta(box)[0]]
+
+    def test_non_local_verdicts_solve_no_lp(self, monkeypatch):
+        calls = counting_solver(monkeypatch)
+        for box in non_local_draws()[:40] + degenerate_non_local_boxes()[:40]:
+            assert anti_robustness(box).value < 1
+            assert not lr_membership(box).member
+        assert calls == []
+
+    def test_local_boxes_and_signalling_membership_still_solve(self, monkeypatch):
+        calls = counting_solver(monkeypatch)
+        anti_robustness(b_alpha(F(3, 4)))
+        lr_membership(b_alpha(F(3, 4)))
+        assert len(calls) == 2
+        # game 000 won on every input pair, but at y = 1 Bob's output follows x
+        signalling = make_box(2, (2, 2), (2, 2), (1, 0, 0, 0) * 3 + (0, 1, 0, 0))
+        assert beta(signalling, 0, 0, 0) == 4 and not is_fully_ns(signalling).fully_ns
+        cert = lr_membership(signalling)
+        assert len(calls) == 3
+        assert not cert.member and check_witness(cert.lp, cert.outcome)
+
+    def test_an_off_facet_witness_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(
+            polytope, "facet_membership", lambda *args: polytope.FacetMembership(False, None)
+        )
+        with pytest.raises(RuntimeError):
+            anti_robustness(b_alpha(F(7, 8)))
+
+    @pytest.mark.parametrize("rst", list(itertools.product((0, 1), repeat=3)))
+    def test_farkas_tens_sit_on_the_vertices_losing_three_cells(self, rst):
+        game = chsh_game(*rst)
+        losing_three = {
+            name
+            for name, vertex in ns_vertices_2x2()[:16]
+            if sum(p == 1 and won < 0 for p, won in zip(vertex.probs, game)) == 3
+        }
+        assert len(losing_three) == 8
+        assert all(beta(vertex_by_name(name), *rst) == -2 for name in losing_three)
+        farkas = lr_membership(mix(F(3, 4), pr_box(*rst), uniform_box(2))).farkas
+        tens = {key[1].removeprefix("w:") for key, y in farkas.items() if y == 10}
+        assert tens == losing_three
+        assert all(key[0] == "lb" for key, y in farkas.items() if y == 10)
+
+    @pytest.mark.parametrize("rst", list(itertools.product((0, 1), repeat=3)))
+    def test_dual_bounds_sit_on_the_vertices_off_the_facet(self, rst):
+        box = mix(F(3, 4), pr_box(*rst), uniform_box(2))
+        assert max_beta(box) == (rst, 3)
+        dual = anti_robustness(box).outcome.dual
+        facet = {name for _, name in polytope._facet_table(*rst)}
+        off_facet = {name for name, _ in POINTS_2X2} - facet
+        assert len(off_facet) == 8
+        bounds = {key[1].removeprefix("w:"): y for key, y in dual.items() if key[0] == "lb"}
+        assert bounds == dict.fromkeys(off_facet, F(4, 7))
 
 
 def reference_rays(r, s, t):
