@@ -179,7 +179,8 @@ class Box:
         checked weights; a product of validated boxes; a bijection of
         cells that maps each input block onto an input block, or a
         mixture of such with positive weights; or the marginal of a
-        validated box just checked non-signalling across the cut.  Each
+        validated box just checked non-signalling across the cut; or the
+        uniform box, whose blocks are equal entries summing to 1.  Each
         Fraction is built once, and the integer view is stored in least
         form.
         """
@@ -315,12 +316,17 @@ def deterministic_vertices() -> list[Box]:
     return boxes
 
 
+@cache
 def uniform_box(party_count: int = 2) -> Box:
-    """The maximally mixed binary box on ``party_count`` parties."""
-    n_out = 2**party_count
-    p = Fraction(1, n_out)
-    probs = (p,) * (n_out * 2**party_count)
-    return Box((2,) * party_count, (2,) * party_count, probs)
+    """The maximally mixed binary box on ``party_count`` parties; built once per count.
+
+    Every input block holds 2**party_count entries of 1/2**party_count, so
+    the table is valid by construction and is not re-validated.
+    """
+    if party_count < 1:
+        raise ShapeMismatch(f"party count must be positive, got {party_count}")
+    shape = (2,) * party_count
+    return Box._trusted(shape, shape, [1] * 4**party_count, 2**party_count)
 
 
 def mix(p, box_a: Box, box_b: Box) -> Box:

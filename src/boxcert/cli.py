@@ -47,7 +47,7 @@ def _parse_bits(text: str, width: int) -> tuple[int, ...]:
 
 
 MAX_GRID_POINTS = 10_000  # each scan row solves an LP; larger grids exit 2 before any is built
-MAX_SAMPLES = 10_000  # each sample solves an LP and verify-cert replays it; more exit 2 at parse time
+MAX_SAMPLES = 10_000  # verify-cert replays every sample; more exit 2 at parse time
 
 
 def _parse_count(text: str) -> int:

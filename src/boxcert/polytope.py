@@ -18,6 +18,13 @@ Everything here reduces to exact LPs over named vertex sets:
   cell each, no two on the same cell.  A box on the facet therefore puts
   weight P(that cell) on each of them; it is local exactly when those
   weights reconstruct it, which is checked by substitution.
+* neither do the sampled halfspace boxes: {beta_rst >= 2} ∩ NS is a
+  pyramid with apex B_rst over that facet simplex.  beta_rst is affine, 4 at
+  the apex and 2 at every ray point, so every decomposition over the apex
+  and ray points puts (beta_rst - 2)/2 on the apex; the rest lies in the
+  facet simplex, whose vertices are ray points, so each of them weighs the
+  entry of the cell it loses.  A box decomposes exactly when that apex
+  weight is >= 0 and these weights rebuild it by substitution.
 * a 2x2 box with beta* = beta_rst > 2 needs no LP either: its
   anti-robustness optimum (q = 6/(beta*+4), admixture the anti-PR box,
   weights read off the facet) and, when it is fully NS, its membership Farkas
@@ -323,11 +330,12 @@ def anti_robustness(box: Box, cut: Cut | None = None) -> AntiRobustnessResult:
     points = _local_vertex_set(box, cut)
     lp = anti_robustness_lp(box, points)
     if box.is_binary_bipartite() and (peak := _chsh_peak(box)).beta > 2:
-        outcome = _facet_optimum(box, peak, points)
-    else:
-        outcome = solve(lp)
-        if outcome.status != "optimal":
-            raise RuntimeError(f"anti-robustness LP ended {outcome.status}")
+        outcome, local_witness, x = _facet_optimum(box, peak, points)
+        weights = named_weights(outcome.witness, points)
+        return AntiRobustnessResult(peak.q, local_witness, x, weights, lp, outcome)
+    outcome = solve(lp)
+    if outcome.status != "optimal":
+        raise RuntimeError(f"anti-robustness LP ended {outcome.status}")
     q = outcome.witness["q"]
     weights = named_weights(outcome.witness, points)
     local_witness = mixture(weights, points)
@@ -444,18 +452,21 @@ def facet_membership(box: Box, r: int, s: int, t: int) -> FacetMembership:
     return FacetMembership(True, weights)
 
 
-def _facet_optimum(box: Box, peak: _Peak, points) -> LPOutcome:
+def _facet_optimum(box: Box, peak: _Peak, points) -> tuple[LPOutcome, Box, Box]:
     """The anti-robustness LP's optimum for a 2x2 box with beta* > 2, without a solve.
 
-    The admixture is the anti-PR box of game rst (beta_rst = -4), which
+    The admixture X is the anti-PR box of game rst (beta_rst = -4), which
     puts L = q*box + (1-q)*X on the facet beta_rst = 2, a simplex; so the
     weights are L's facet weights.  The dual puts y = 2/(beta*+4) on the
     cell rows game rst wins, q on the normalization row, and q - y on the
     bound of each vertex off the facet, which wins one cell, not three.
+    Returns the outcome, L and X.
     """
     r, s, t = peak.rst
     q = peak.q
-    on_facet = facet_membership(mix(q, box, pr_box(r, s, 1 - t)), r, s, t)
+    admixed = pr_box(r, s, 1 - t)
+    local = mix(q, box, admixed)
+    on_facet = facet_membership(local, r, s, t)
     if not on_facet.member:
         raise RuntimeError(f"q*box + (1-q)*X is off the facet beta_{r}{s}{t} = 2")
     witness = {"q": q}
@@ -466,7 +477,7 @@ def _facet_optimum(box: Box, peak: _Peak, points) -> LPOutcome:
     dual[("con", len(game))] = q
     facet = {name for _, name in _facet_table(r, s, t)}
     dual.update((("lb", f"w:{name}"), q - y) for name, _ in points if name not in facet)
-    return LPOutcome("optimal", witness, q, dual)
+    return LPOutcome("optimal", witness, q, dual), local, admixed
 
 
 @rst_cache
@@ -558,6 +569,23 @@ def hull_fault(r: int, s: int, t: int, weights) -> str | None:
     return None
 
 
+def _pyramid_weights(box: Box, r: int, s: int, t: int, points) -> dict[str, Fraction] | None:
+    """A 2x2 box's weights over ``points`` = ``ray_points(r, s, t)``, or None if it has none.
+
+    The apex weighs (beta_rst - 2)/2 and each facet vertex ``ray:<v>``
+    the entry of the one cell v loses; zeros are left out, in ``points``
+    order, as ``named_weights`` gives them.  The box decomposes when that
+    apex weight is >= 0 and the weights rebuild it by substitution.
+    """
+    apex_weight = (beta(box, r, s, t) - 2) / 2
+    if apex_weight < 0:
+        return None
+    closed = {f"ray:{name}": box.probs[k] for k, name in _facet_table(r, s, t)}
+    closed[f"pr_{r}{s}{t}"] = apex_weight
+    weights = {name: w for name, _ in points if (w := closed.get(name))}
+    return weights if mixture(weights, points) == box else None
+
+
 def halfspace_body_equality_check(
     r: int, s: int, t: int, samples: int = 500, seed: int = 0
 ) -> HalfspaceReport:
@@ -568,6 +596,17 @@ def halfspace_body_equality_check(
     beta_rst >= 2 admit an exact decomposition over those 24 points.
     The report keeps the per-sample weights so an independent checker
     can replay both directions by substitution alone.
+
+    The halfspace side solves no LP.  {beta_rst >= 2} ∩ NS is a pyramid:
+    apex B_rst over the local facet beta_rst = 2, a simplex whose 8
+    vertices are ray points (each is its own).  beta_rst is affine, 4 at
+    the apex and 2 at every ray point, so every decomposition puts
+    (beta_rst - 2)/2 on the apex; the rest lies in the hull of the ray
+    points, inside the facet simplex, where each vertex weighs the entry
+    of the one cell it loses (the apex is 0 there).  So the membership LP
+    over the 24 points is feasible exactly when ``_pyramid_weights``
+    rebuilds the box, and the verdicts are the LP's.  Tests check these
+    weights against the LP solver's witness.
     """
     points = ray_points(r, s, t)
     draws = halfspace_draws(r, s, t, samples, seed)
@@ -580,12 +619,10 @@ def halfspace_body_equality_check(
     half_failures = []
     half_decompositions = []
     for k, candidate in enumerate(draws):
-        outcome = solve(membership_lp(candidate, points))
-        if outcome.status != "optimal":
+        weights = _pyramid_weights(candidate, r, s, t, points)
+        if weights is None:
             half_failures.append(HalfspaceSample(k, False, "no exact decomposition"))
-            half_decompositions.append({})
-        else:
-            half_decompositions.append(named_weights(outcome.witness, points))
+        half_decompositions.append(weights or {})
     return HalfspaceReport(
         (r, s, t),
         samples,

@@ -53,6 +53,15 @@ class TestMakeBox:
         assert box == uniform_box(2)
         assert box.prob((0, 1), (1, 0)) == F(1, 4)
 
+    def test_uniform_box_is_the_validated_table(self):
+        # built once per party count, without the validating constructor
+        for n in range(1, 5):
+            validated = Box((2,) * n, (2,) * n, [F(1, 2**n)] * 4**n)
+            assert uniform_box(n) == validated and uniform_box(n).int_view == validated.int_view
+            assert uniform_box(n) is uniform_box(n)
+        with pytest.raises(ShapeMismatch):
+            uniform_box(0)
+
     def test_not_normalized_reports_sum(self):
         entries = {((0, 0), (0, 0)): F(3, 4), ((0, 1), (0, 0)): F(1, 2)}
         for x, y in itertools.product((0, 1), repeat=2):

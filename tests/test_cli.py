@@ -306,6 +306,26 @@ class TestPinnedCertificates:
         digest = hashlib.sha256(cert_path.read_bytes()).hexdigest()
         assert digest == self.HYPERPLANE_DIGESTS[rst]
 
+    # --samples 8 --seed <k> for the k-th apex, recorded while each sample still solved an LP
+    SAMPLED_HYPERPLANE_DIGESTS = {
+        "000": "a5c9dacf9633693ceaa9b473d819ca51af355291ea468fc673b9b382a5105a52",
+        "001": "c466adb9961942a5495ba3a8f85c7308f78d89e4adf404c9036f3d3b7bf09bb6",
+        "010": "798e705ade233ae8cf0e2131b478dd4e0ae4c1399fb2208dd2ebcb8c23818f96",
+        "011": "27fa6a630f141140a8e7ead36f79e4eddde00942b85fa1b4802626c1d32e5ec9",
+        "100": "7eba7ea9d919f5129f6cb8a4b2b659334b21f2c641179c0809a5cc96a71935b3",
+        "101": "f2b2e4a4638f6e8177924f4a523247220972bd82679b50ece55e35c8daf564e1",
+        "110": "28a92b0b11761843b6c1cf22d9adbf93ffb554891fe7a09805510eaf0736818c",
+        "111": "ffb5bd2565d7fdc4ce64f370b4ddbed43cbe979937366929cfa0b25cfba0943b",
+    }
+
+    @pytest.mark.parametrize("seed, rst", enumerate(sorted(SAMPLED_HYPERPLANE_DIGESTS)))
+    def test_hyperplane_with_samples_every_apex(self, seed, rst, tmp_path):
+        cert_path = tmp_path / "hyperplane.json"
+        argv = ["hyperplane-check", "--rst", rst, "--samples", "8", "--seed", str(seed)]
+        assert main(argv + ["--json", str(cert_path)]) == 0
+        digest = hashlib.sha256(cert_path.read_bytes()).hexdigest()
+        assert digest == self.SAMPLED_HYPERPLANE_DIGESTS[rst]
+
     def test_scan_across_the_window(self, tmp_path):
         # rows in (3/4, 4/5] are not certified, so the scan exits 1
         cert_path = tmp_path / "scan.json"

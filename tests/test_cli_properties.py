@@ -15,8 +15,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from boxcert.box import b_alpha, pr_box  # noqa: E402
-from boxcert.boxio import box_to_dict  # noqa: E402
+from boxcert.box import b_alpha, pr_box, uniform_box  # noqa: E402
+from boxcert.boxio import box_to_dict, save_box  # noqa: E402
 from boxcert.cli import main  # noqa: E402
 from test_verifier_properties import VALUES, _mutated, _paths  # noqa: E402
 
@@ -95,3 +95,101 @@ def test_single_field_mutation_exits_cleanly(mutation):
             if code == 2:
                 lines = err.splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+# Random command lines: each verb with its own options, mostly well-formed, and
+# now and then a foreign option, a bad value or a stray word.  Every count is
+# at most 16 and every well-formed grid has at most 9 points, so no call runs
+# long; --full is left out, because one 4-party oracle solve takes tens of seconds.
+_GRIDS = st.tuples(
+    st.sampled_from(("3/4", "25/32", "7/8", "1")),
+    st.sampled_from(("1/8", "1/16", "1/32")),
+    st.integers(0, 8),
+).map(lambda g: "%s:%s:%s" % (g[0], min(F(g[0]) + g[2] * F(g[1]), 1), g[1]))
+_BAD_GRIDS = ("1:0:1/8", "0:1:0", "0:1:-1/8", "a:b:c", "1/2:1", "0:1:1/100000", "0:1/0:1",
+              "0:1:1/8", "1:9/8:1/8")
+_COUNTS = st.integers(0, 16).map(str)
+_BAD_COUNTS = st.sampled_from(("-1", "x", "1.5", "", "10001"))
+_OPTIONS = {
+    "--rst": st.sampled_from(("000", "011", "101", "111")),
+    "--rs": st.sampled_from(("00", "01", "10", "11")),
+    "--samples": _COUNTS,
+    "--seed": _COUNTS | st.sampled_from(("-5", "12345678901234567890")),
+    "--alpha": st.sampled_from(("13/16", "4/5", "3/4", "25/32", "7/8", "1")),
+    "--alpha-grid": _GRIDS,
+    "--method": st.sampled_from(("lp", "formula")),
+    "--json": st.just("out.json"),
+}
+_BAD_VALUES = {
+    "--rst": st.sampled_from(("01", "0a1", "", "1111")),
+    "--rs": st.sampled_from(("0", "2x", "")),
+    "--samples": _BAD_COUNTS,
+    "--seed": _BAD_COUNTS,
+    "--alpha": st.sampled_from(("1/0", "x", "-1/2", "1/2", "3/2", "0.5")),
+    "--alpha-grid": st.sampled_from(_BAD_GRIDS),
+    "--method": st.just("simplex"),
+    "--json": st.sampled_from((".", "missing/out.json")),
+}
+# per verb: whether it reads an input file, its required options, its other options
+_VERBS = {
+    "validate": (True, (), ("--json",)),
+    "beta": (True, (), ("--rst", "--json")),
+    "twirl": (True, ("--rs",), ("--json",)),
+    "antirobustness": (True, (), ("--method", "--json")),
+    "hyperplane-check": (False, (), ("--rst", "--samples", "--seed", "--json")),
+    "broadcast-check": (False, ("--alpha",), ("--json",)),
+    "scan": (False, ("--alpha-grid",), ("--json",)),
+    "verify-cert": (True, (), ()),
+}
+_BOXES = ("line.json", "pr.json", "local.json", "four.json")
+_CERTIFICATES = ("cert.json", "half.json", "out.json")
+_INPUTS = _BOXES + _CERTIFICATES + ("list.json", "garbage.json", "missing.json", ".")
+_FILES = set(_INPUTS) | {"missing/out.json"}  # names inside the work directory
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """Box files, certificates and unreadable inputs for the random command lines."""
+    tmp = tmp_path_factory.mktemp("argv")
+    for name, box in (("line", b_alpha(F(7, 8))), ("pr", pr_box(0, 0, 0)),
+                      ("local", b_alpha(F(3, 4))), ("four", uniform_box(4))):
+        save_box(box, tmp / f"{name}.json")
+    emit = {
+        "cert.json": ["antirobustness", str(tmp / "line.json")],
+        "half.json": ["hyperplane-check", "--rst", "000", "--samples", "2"],
+    }
+    for name, argv in emit.items():
+        assert _run(argv + ["--json", str(tmp / name)])[0] == 0
+    (tmp / "list.json").write_text("[]")
+    (tmp / "garbage.json").write_bytes(b"\xff{")
+    return tmp
+
+
+@st.composite
+def command_lines(draw):
+    verb = draw(st.sampled_from(sorted(_VERBS)))
+    takes_input, required, optional = _VERBS[verb]
+    argv = [verb]
+    if takes_input and draw(st.integers(0, 9)):
+        usual = _CERTIFICATES if verb == "verify-cert" else _BOXES
+        argv.append(draw(st.sampled_from(usual if draw(st.integers(0, 4)) else _INPUTS)))
+    for option in required + optional:
+        if draw(st.integers(0, 9)) < (9 if option in required else 5):
+            bad = draw(st.integers(0, 9)) == 0
+            argv += [option, draw((_BAD_VALUES if bad else _OPTIONS)[option])]
+    if draw(st.integers(0, 4)) == 0:  # a stray token
+        stray = st.sampled_from(sorted(_OPTIONS) + ["-h", "--bogus", "frobnicate", *_INPUTS])
+        stray = stray | st.text(alphabet="abc-:/.", max_size=6)
+        argv.insert(draw(st.integers(0, len(argv))), draw(stray))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(command_lines())
+def test_random_command_line_exits_cleanly(workdir, argv):
+    argv = [str(workdir / a) if a in _FILES else a for a in argv]
+    code, err = _run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert sum("error: " in line for line in err.splitlines()) == 1, (argv, err)

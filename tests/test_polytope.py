@@ -379,6 +379,7 @@ class TestFacetClosedForms:
             (r, s, t), best = max_beta(box)
             assert result.value == F(6) / (best + 4)
             assert result.weights == named_weights(expected.witness, POINTS_2X2)
+            assert result.local_witness == polytope.mixture(result.weights, POINTS_2X2)
             assert result.admixture_witness == pr_box(r, s, 1 - t)
 
     @pytest.mark.parametrize("corpus", CORPORA)
@@ -398,6 +399,11 @@ class TestFacetClosedForms:
             assert anti_robustness(box).value < 1
             assert not lr_membership(box).member
         assert calls == []
+
+    def test_admixtures_are_the_cached_boxes(self):
+        # beta*: the anti-PR box of the maximising game; local: the uniform box
+        assert anti_robustness(b_alpha(F(7, 8))).admixture_witness is pr_box(0, 0, 1)
+        assert anti_robustness(b_alpha(F(3, 4))).admixture_witness is uniform_box(2)
 
     def test_local_boxes_and_signalling_membership_still_solve(self, monkeypatch):
         calls = counting_solver(monkeypatch)
@@ -487,6 +493,23 @@ class TestRayTable:
                 call()
 
 
+def replayed_halfspace_draws():
+    """The halfspace-side boxes of ``hyperplane-check --samples 8 --seed 0..7``, per apex."""
+    for rst in itertools.product((0, 1), repeat=3):
+        for seed in range(8):
+            yield rst, list(polytope.halfspace_draws(*rst, 8, seed))[8:]
+
+
+def degenerate_pyramid_boxes():
+    """Apexes, and apex 000's ray points, their apex mixtures and pairwise midpoints."""
+    for rst in itertools.product((0, 1), repeat=3):
+        yield rst, [pr_box(*rst)]
+    (_, apex), *rays = ray_points(0, 0, 0)
+    yield (0, 0, 0), [box for _, box in rays]
+    yield (0, 0, 0), [mix(lam, apex, box) for _, box in rays for lam in (F(1, 2), F(1, 3))]
+    yield (0, 0, 0), [mix(F(1, 2), a, b) for (_, a), (_, b) in itertools.combinations(rays, 2)]
+
+
 class TestHalfspace:
     def test_explicit_hull_member(self):
         box = mix(F(1, 2), pr_box(0, 0, 0), b_alpha(F(3, 4)))
@@ -505,6 +528,52 @@ class TestHalfspace:
     def test_sampled_equivalence_small(self):
         report = halfspace_body_equality_check(0, 0, 0, samples=50, seed=7)
         assert report.all_pass
+
+    def test_pyramid_weights_are_the_solvers_witness(self):
+        corpus = list(replayed_halfspace_draws()) + list(degenerate_pyramid_boxes())
+        assert sum(len(boxes) for _, boxes in corpus) == 512 + 8 + 23 * 3 + 253
+        for rst, boxes in corpus:
+            points = ray_points(*rst)
+            for box in boxes:
+                weights = polytope._pyramid_weights(box, *rst, points)
+                expected = solve(membership_lp(box, points))
+                assert expected.status == "optimal"
+                assert list(weights.items()) == list(
+                    named_weights(expected.witness, points).items()
+                )
+
+    def test_sampled_checks_solve_no_lp(self, monkeypatch):
+        calls = counting_solver(monkeypatch)
+        for rst in itertools.product((0, 1), repeat=3):
+            report = halfspace_body_equality_check(*rst, samples=8, seed=0)
+            assert report.all_pass and all(report.half_decompositions)
+        assert calls == []
+
+    def test_boxes_outside_the_pyramid_fail_where_the_lp_is_infeasible(self, monkeypatch):
+        # beta_000 = 1 (local), beta_000 = -4 (another apex), and two signalling
+        # boxes with beta_000 = 4 and 2 that no mixture of NS boxes gives
+        outside = [
+            b_alpha(F(5, 8)),
+            pr_box(0, 0, 1),
+            make_box(2, (2, 2), (2, 2), (1, 0, 0, 0) * 3 + (0, 1, 0, 0)),
+            make_box(2, (2, 2), (2, 2), (1, 0, 0, 0) * 2 + ("1/2", 0, 0, "1/2") * 2),
+        ]
+        assert [beta(box, 0, 0, 0) for box in outside] == [1, -4, 4, 2]
+        points = ray_points(0, 0, 0)
+        for box in outside:
+            assert polytope._pyramid_weights(box, 0, 0, 0, points) is None
+            assert solve(membership_lp(box, points)).status == "infeasible"
+        inside = b_alpha(F(7, 8))
+        draws = [[F(1)] + [F(0)] * 23, inside, *outside]
+        monkeypatch.setattr(polytope, "halfspace_draws", lambda *args: iter(draws))
+        report = halfspace_body_equality_check(0, 0, 0, samples=1, seed=0)
+        assert not report.all_pass and not report.hull_side_failures
+        assert [(f.index, f.detail) for f in report.halfspace_side_failures] == [
+            (k, "no exact decomposition") for k in range(1, 5)
+        ]
+        expected = named_weights(solve(membership_lp(inside, points)).witness, points)
+        assert report.half_decompositions == (expected,) + ({},) * 4
+        assert expected["pr_000"] == F(1, 2)
 
     def test_locality_flag_matches_membership(self):
         rng = rng_from_seed(44)
