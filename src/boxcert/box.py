@@ -348,11 +348,16 @@ def mix(p, box_a: Box, box_b: Box) -> Box:
 def convex_combination(weights, boxes) -> Box:
     """Exact mixture sum(w_i * box_i); weights must sum to 1."""
     weights = [as_fraction(w) for w in weights]
-    if len(weights) != len(boxes) or not boxes:
-        raise ShapeMismatch("weights and boxes must align and be non-empty")
     scale = lcm(*(w.denominator for w in weights))
     counts = [w.numerator * (scale // w.denominator) for w in weights]  # w_i = counts[i]/scale
-    if any(k < 0 for k in counts) or sum(counts) != scale:
+    return count_combination(counts, scale, boxes)
+
+
+def count_combination(counts, scale: int, boxes) -> Box:
+    """Exact mixture sum(counts[i]/scale * box_i) of integer counts; they must sum to ``scale``."""
+    if len(counts) != len(boxes) or not boxes:
+        raise ShapeMismatch("weights and boxes must align and be non-empty")
+    if scale < 1 or any(k < 0 for k in counts) or sum(counts) != scale:
         raise WeightOutOfRange("weights must be non-negative and sum to 1")
     shape = (boxes[0].input_arity, boxes[0].output_arity)
     if any((b.input_arity, b.output_arity) != shape for b in boxes):

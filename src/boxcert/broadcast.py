@@ -44,12 +44,13 @@ from .box import (
     permute_parties,
 )
 from .chsh import parity, subset_correlator
-from .polytope import admixture, anti_robustness_closed_form, mixture
-from .ratlp import Constraint, LinearProgram, LPOutcome, solve
+from .polytope import admixture, mixture
+from .ratlp import Constraint, LinearProgram, LPOutcome, _IntRow, solve
 from .rational import as_fraction
 from .vertices import broadcast_local_vertices
 
 F = Fraction
+_ZERO, _ONE = F(0), F(1)
 
 
 class RangeError(BoxError):
@@ -151,13 +152,20 @@ def s2_point(instance: BroadcastInstance, t11) -> tuple[Fraction, Fraction]:
     return scaled, F(3, 4) - scaled
 
 
-def projection_lp(instance: BroadcastInstance) -> LinearProgram:
+# per link row, the X cell and the symmetric L/Bhat cell it ties together
+_LINK_CELLS = (("11", "11"), ("12", "12"), ("21", "12"), ("22", "22"))
+_PROJECTION_VARIABLES = (
+    "L11", "L12", "L22",
+    "B11", "B12", "B22",
+    "X11", "X12", "X21", "X22",
+)
+_LINE_ROW = 2  # Bhat-line; rows 8-11 are the link rows, the rest do not depend on alpha
+_LINK_ROWS = range(8, 12)
+
+
+def _validated_projection_lp(instance: BroadcastInstance) -> LinearProgram:
+    """The projection LP through the validating constructors; ``projection_lp``'s source."""
     alpha, p = instance.alpha, instance.p_alpha
-    variables = [
-        "L11", "L12", "L22",
-        "B11", "B12", "B22",
-        "X11", "X12", "X21", "X22",
-    ]
     constraints = [
         Constraint({"L11": 1, "L12": 2, "L22": 1}, "=", 1, name="L-normalization"),
         Constraint({"B11": 1, "B12": 2, "B22": 1}, "=", 1, name="Bhat-normalization"),
@@ -172,13 +180,57 @@ def projection_lp(instance: BroadcastInstance) -> LinearProgram:
         # L = p*Bhat + (1-p)*X cellwise; L and Bhat are symmetric, X need not be
         *(
             Constraint({f"L{s}": 1, f"B{s}": -p, f"X{ij}": p - 1}, "=", 0, name=f"link-{ij}")
-            for ij, s in (("11", "11"), ("12", "12"), ("21", "12"), ("22", "22"))
+            for ij, s in _LINK_CELLS
         ),
     ]
     return LinearProgram(
-        variables=variables,
+        variables=_PROJECTION_VARIABLES,
         constraints=constraints,
-        lower={v: F(0) for v in variables},
+        lower={v: F(0) for v in _PROJECTION_VARIABLES},
+    )
+
+
+@cache
+def _projection_template() -> LinearProgram:
+    """The projection LP at alpha = 1, validated once; ``projection_lp`` shares its other rows."""
+    return _validated_projection_lp(BroadcastInstance(1))
+
+
+def projection_lp(instance: BroadcastInstance) -> LinearProgram:
+    """The projected broadcast system at ``instance.alpha``, patched into a cached template.
+
+    Only Bhat-line and the four link rows depend on alpha.  With
+    alpha = n/d and p_alpha = pn/pd they are written out as
+    ``LinearProgram`` would derive them: Bhat-line is ``d*B11 + d*B12 = n``
+    over d, and link-ij is ``-pn*B + pd*L + (pn-pd)*X = 0`` over pd, terms in
+    variable-name order, with the X term dropped where p_alpha = 1.
+    """
+    template = _projection_template()
+    alpha, p = instance.alpha, instance.p_alpha
+    n, d = alpha.numerator, alpha.denominator
+    pn, pd = p.numerator, p.denominator
+    constraints = list(template.constraints)
+    rows = list(template.int_rows)
+    line_terms = (("B11", _ONE), ("B12", _ONE))
+    constraints[_LINE_ROW] = Constraint._trusted(line_terms, "=", alpha, "Bhat-line")
+    rows[_LINE_ROW] = _IntRow(("con", _LINE_ROW), {"B11": d, "B12": d}, "=", n, d)
+    for k, (ij, s) in zip(_LINK_ROWS, _LINK_CELLS):
+        b, l, x = f"B{s}", f"L{s}", f"X{ij}"
+        terms = ((b, -p), (l, _ONE))
+        coeffs = {b: -pn, l: pd}
+        if pn != pd:
+            terms += ((x, p - 1),)
+            coeffs[x] = pn - pd
+        constraints[k] = Constraint._trusted(terms, "=", _ZERO, f"link-{ij}")
+        rows[k] = _IntRow(("con", k), coeffs, "=", 0, pd)
+    return LinearProgram._trusted(
+        template.variables,
+        tuple(constraints),
+        None,
+        "max",
+        template.lower,
+        (),
+        tuple(rows),
     )
 
 
@@ -494,8 +546,9 @@ class ScanReport:
 def broadcast_scan(alphas, include_full: bool = False) -> ScanReport:
     """Per-alpha verdicts plus anti-robustness values, ordered by alpha.
 
-    A row's anti-robustness is the closed form 6/(beta* + 4) at b_alpha,
-    which the tests pin against the anti-robustness LP.  Every alpha is
+    A row's anti-robustness is p_alpha: beta*(b_alpha) = 8*alpha - 4, so
+    the closed form 6/(beta* + 4) is 3/(4*alpha).  The tests pin this
+    against the closed form and the anti-robustness LP.  Every alpha is
     range-checked before any LP is solved.
     """
     instances = [BroadcastInstance(a) for a in sorted(as_fraction(a) for a in alphas)]
@@ -503,6 +556,6 @@ def broadcast_scan(alphas, include_full: bool = False) -> ScanReport:
     for instance in instances:
         projection = projection_feasibility(instance)
         full = full_broadcast_feasibility(instance) if include_full else None
-        value = anti_robustness_closed_form(b_alpha(instance.alpha))
-        rows.append(ScanRow(instance.alpha, instance.p_alpha, projection, full, value))
+        p = instance.p_alpha
+        rows.append(ScanRow(instance.alpha, p, projection, full, p))
     return ScanReport(tuple(rows))

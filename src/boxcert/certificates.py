@@ -231,6 +231,14 @@ def _points_for(box: Box, cut: str):
     raise ValueError(f"unknown cut label {cut!r}")
 
 
+def _check_flag(stated, expected: bool, message: str, errors: list[str]) -> bool:
+    """A stated flag must be the JSON boolean ``expected``: 0, 1, "no" or null never is."""
+    if stated is expected:
+        return True
+    errors.append(message)
+    return False
+
+
 def _verify_membership(data: dict, errors: list[str]) -> None:
     box = box_from_dict(data["inputs"]["box"])
     points = _points_for(box, data["inputs"]["cut"])
@@ -240,9 +248,9 @@ def _verify_membership(data: dict, errors: list[str]) -> None:
         errors.append("LP outcome fails check_witness")
         return
     member = data["result"]["member"]
-    if member != (outcome.status == "optimal"):
-        errors.append("member flag disagrees with LP outcome status")
-    if member and mixture(_weights_from_dict(data["result"]["weights"]), points) != box:
+    message = "member flag disagrees with LP outcome status"
+    _check_flag(member, outcome.status == "optimal", message, errors)
+    if member is True and mixture(_weights_from_dict(data["result"]["weights"]), points) != box:
         errors.append("weights do not reconstruct the box")
 
 
@@ -267,8 +275,8 @@ def _verify_antirobustness(data: dict, errors: list[str]) -> None:
 
 def _check_all_pass(data: dict, errors: list[str]) -> None:
     """The stated ``all_pass`` must say whether the checks so far found no error."""
-    if data["result"]["all_pass"] is not (not errors):
-        errors.append("stated all_pass disagrees with the verified checks")
+    message = "stated all_pass disagrees with the verified checks"
+    _check_flag(data["result"]["all_pass"], not errors, message, errors)
 
 
 def _verify_hyperplane(data: dict, errors: list[str]) -> None:
@@ -288,8 +296,8 @@ def _verify_hyperplane(data: dict, errors: list[str]) -> None:
                 errors.append(f"{name}: stated beta_{v.r}{v.s}{v.t} differs")
         if not local_flag:
             errors.append(f"{name}: point violates a CHSH facet")
-        if not entry["member"]:
-            errors.append(f"{name}: certificate does not claim membership")
+        message = f"{name}: certificate does not claim membership"
+        if not _check_flag(entry["member"], True, message, errors):
             continue
         if mixture(_weights_from_dict(entry["weights"]), local_vertices_2x2()) != ray.point:
             errors.append(f"{name}: membership weights do not reconstruct the point")
@@ -338,15 +346,23 @@ def _verify_broadcast(data: dict, errors: list[str]) -> None:
         outcome = outcome_from_dict(projection["outcome"])
         if not check_witness(projection_lp(instance), outcome):
             errors.append(f"alpha={alpha}: projection outcome fails check_witness")
-        if projection["feasible"] != (outcome.status == "optimal"):
-            errors.append(f"alpha={alpha}: projection verdict/status mismatch")
+        _check_flag(
+            projection["feasible"],
+            outcome.status == "optimal",
+            f"alpha={alpha}: projection verdict/status mismatch",
+            errors,
+        )
         if entry.get("full") is not None:
             full = _object(entry["full"], f"rows[{i}].full")
             full_outcome = outcome_from_dict(full["outcome"])
             if not check_witness(full_broadcast_lp(instance), full_outcome):
                 errors.append(f"alpha={alpha}: full-oracle outcome fails check_witness")
-            if full["feasible"] != (full_outcome.status == "optimal"):
-                errors.append(f"alpha={alpha}: full verdict/status mismatch")
+            _check_flag(
+                full["feasible"],
+                full_outcome.status == "optimal",
+                f"alpha={alpha}: full verdict/status mismatch",
+                errors,
+            )
             if full.get("broadcast_copy"):
                 bhat = bhat_from_witness(alpha, full_outcome.witness)
                 if bhat != box_from_dict(full["broadcast_copy"]):

@@ -223,8 +223,6 @@ def cmd_broadcast_check(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if not args.alpha_grid:
-        print("empty grid")
     return _broadcast_rows(args.alpha_grid, args)
 
 

@@ -36,11 +36,13 @@ Certificate entries must be ``int`` or ``Fraction``; anything else fails.
 derive the integer rows.  ``LinearProgram._trusted`` and
 ``Constraint._trusted`` take every field as given, with no check; the
 weight-LP builders in ``polytope`` use them to patch one box into
-per-vertex-set row templates.  They rely on the caller passing exactly what the public
-constructors would store: coefficient terms nonzero, exact and sorted by
-variable name, every variable known and named once, bounds sorted, and
-``int_rows`` equal integer for integer to what the validating
-constructor derives from the constraints and bounds.
+per-vertex-set row templates, and ``broadcast.projection_lp`` to patch
+one alpha into its cached template.  They rely on the caller passing
+exactly what the public constructors would store: coefficient terms
+nonzero, exact and sorted by variable name, every variable known and
+named once, bounds sorted, and ``int_rows`` equal integer for integer
+to what the validating constructor derives from the constraints and
+bounds.
 """
 
 from __future__ import annotations

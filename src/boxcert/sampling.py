@@ -13,7 +13,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .box import Box, convex_combination, mix, pr_box
+from .box import Box, count_combination, mix, pr_box
 from .chsh import beta
 from .twirl import RelabelingMixture, RelabelingOp
 from .vertices import ns_vertices_2x2
@@ -25,11 +25,16 @@ def rng_from_seed(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def rational_weights(rng: random.Random, count: int, denominator: int = DEFAULT_DENOMINATOR) -> list[Fraction]:
-    """A random composition of 1 into ``count`` weights k_i/denominator."""
+def _composition(rng: random.Random, count: int, denominator: int) -> list[int]:
+    """A random composition of ``denominator`` into ``count`` non-negative integers."""
     cuts = sorted(rng.randint(0, denominator) for _ in range(count - 1))
     bounds = [0] + cuts + [denominator]
-    return [Fraction(bounds[i + 1] - bounds[i], denominator) for i in range(count)]
+    return [bounds[i + 1] - bounds[i] for i in range(count)]
+
+
+def rational_weights(rng: random.Random, count: int, denominator: int = DEFAULT_DENOMINATOR) -> list[Fraction]:
+    """A random composition of 1 into ``count`` weights k_i/denominator."""
+    return [Fraction(k, denominator) for k in _composition(rng, count, denominator)]
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -54,9 +59,9 @@ def random_ns_box(rng: random.Random) -> Box:
     seed 12345 the largest beta* was 59/32).  Use
     ``random_ns_box_with_min_beta`` for non-local boxes.
     """
-    names_boxes = ns_vertices_2x2()
-    weights = rational_weights(rng, len(names_boxes))
-    return convex_combination(weights, [b for _, b in names_boxes])
+    boxes = [b for _, b in ns_vertices_2x2()]
+    counts = _composition(rng, len(boxes), DEFAULT_DENOMINATOR)
+    return count_combination(counts, DEFAULT_DENOMINATOR, boxes)
 
 
 def random_ns_box_with_min_beta(rng: random.Random, r: int, s: int, t: int) -> Box:

@@ -16,6 +16,8 @@ from boxcert.box import (
     WeightOutOfRange,
     b_alpha,
     chsh_game,
+    convex_combination,
+    count_combination,
     deterministic_vertices,
     is_fully_ns,
     is_ns_in_cut,
@@ -214,6 +216,27 @@ class TestMix:
             loc = mix(q, a, x)
             x_prime = mix((q - p) / (1 - p), a, x)
             assert mix(p, a, x_prime) == loc
+
+    def test_count_combination_is_the_convex_combination(self):
+        rng = rng_from_seed(4)
+        boxes = [random_ns_box(rng) for _ in range(4)]
+        for counts in ((1, 2, 0, 5), (0, 0, 8, 0), (3, 3, 1, 1)):
+            weights = [F(k, 8) for k in counts]
+            assert count_combination(counts, 8, boxes) == convex_combination(weights, boxes)
+
+    @pytest.mark.parametrize(
+        "counts, scale, error",
+        [
+            ((1, -1, 1, 7), 8, WeightOutOfRange),
+            ((1, 1, 1, 1), 8, WeightOutOfRange),
+            ((0, 0, 0, 0), 0, WeightOutOfRange),
+            ((4, 4), 8, ShapeMismatch),
+        ],
+    )
+    def test_count_combination_rejects(self, counts, scale, error):
+        boxes = [pr_box(0, 0, t) for t in (0, 1)] * 2
+        with pytest.raises(error):
+            count_combination(counts, scale, boxes)
 
 
 class TestTensorAndMarginal:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from boxcert import ratlp
 from boxcert.box import b_alpha, convex_combination, mix, permute_parties, pr_box, tensor
 from boxcert.broadcast import (
     _CELL_ORBITS,
@@ -19,17 +20,20 @@ from boxcert.broadcast import (
     WrongShape,
     _evar,
     _orbits_of_vertices,
+    _validated_projection_lp,
     bhat_from_witness,
     broadcast_scan,
     c1c2_projection,
     full_broadcast_lp,
     projection_feasibility,
+    projection_lp,
     s1_check,
     s2_point,
     subset_correlator,
 )
+from boxcert.certificates import scan_certificate, verify_certificate
 from boxcert.chsh import beta
-from boxcert.polytope import anti_robustness
+from boxcert.polytope import anti_robustness, anti_robustness_closed_form
 from boxcert.ratlp import check_witness
 from boxcert.sampling import random_ns_box, rational_weights, rng_from_seed
 from boxcert.twirl import line_transport
@@ -209,6 +213,62 @@ class TestProjectionFeasibility:
             assert verdict.feasible == (alpha == F(3, 4))
 
 
+def _grid(den):
+    """Every alpha k/den in [3/4, 1]."""
+    return [F(k, den) for k in range(-(-3 * den // 4), den + 1)]
+
+
+def counting_validating_builds(monkeypatch):
+    """Count calls of the validating Constraint and LinearProgram constructors."""
+    calls = []
+    for cls in (ratlp.Constraint, ratlp.LinearProgram):
+        init = cls.__init__
+
+        def counting_init(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            calls.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return calls
+
+
+class TestProjectionTemplate:
+    """``projection_lp`` patches a cached template; it must equal the validating build."""
+
+    @pytest.mark.parametrize("den", [32, 96, 97, 1000])
+    def test_equals_the_validating_build(self, den):
+        for alpha in {F(3, 4), *_grid(den)}:  # 3/4 is off the 1/97 grid
+            instance = BroadcastInstance(alpha)
+            lp, ref = projection_lp(instance), _validated_projection_lp(instance)
+            assert lp == ref
+            assert repr(lp) == repr(ref)
+            assert lp.int_rows == ref.int_rows
+            assert repr(lp.int_rows) == repr(ref.int_rows)
+            # the solver walks each row's terms in dict order
+            assert [list(row.coeffs) for row in lp.int_rows] == [
+                list(row.coeffs) for row in ref.int_rows
+            ]
+
+    def test_three_quarters_has_no_admixture_term(self):
+        lp = projection_lp(BroadcastInstance(F(3, 4)))
+        links = [con for con in lp.constraints if con.name.startswith("link-")]
+        assert [con.name for con in links] == ["link-11", "link-12", "link-21", "link-22"]
+        assert all(var[0] != "X" for con in links for var, _ in con.coeffs)
+        assert all(row.den == 1 for row in lp.int_rows[8:12])
+
+    def test_no_validating_build_once_warm(self, monkeypatch):
+        alphas = [F(3, 4) + F(k, 32) for k in range(9)]
+        broadcast_scan(alphas)  # fills the template
+        calls = counting_validating_builds(monkeypatch)
+        report = broadcast_scan(alphas)
+        assert calls == []
+        ok, errors = verify_certificate(scan_certificate(report))
+        assert ok, errors
+        assert calls == []
+        _validated_projection_lp(BroadcastInstance(F(7, 8)))
+        assert calls.count("Constraint") == 12 and calls.count("LinearProgram") == 1
+
+
 class TestReductionConsistency:
     def test_line_transport_preserves_anti_robustness(self):
         for r, s, t in itertools.product((0, 1), repeat=3):
@@ -262,6 +322,16 @@ class TestScan:
     def test_empty_grid(self):
         report = broadcast_scan([])
         assert report.rows == ()
+
+    def test_p_alpha_is_the_closed_form_on_the_line(self):
+        # beta*(b_alpha) = 8*alpha - 4, so 6/(beta* + 4) = 3/(4*alpha) = p_alpha
+        alphas = _grid(96)
+        for alpha in alphas:
+            closed_form = anti_robustness_closed_form(b_alpha(alpha))
+            assert closed_form == BroadcastInstance(alpha).p_alpha
+        report = broadcast_scan(alphas[::8])
+        for row in report.rows:
+            assert row.anti_robustness == anti_robustness_closed_form(b_alpha(row.alpha))
 
     def test_closed_form_agrees_with_the_lp_on_the_grid(self):
         alphas = [F(3, 4) + F(k, 32) for k in range(9)]

@@ -11,9 +11,10 @@ import pytest
 
 from boxcert.box import b_alpha, pr_box, uniform_box, make_box
 from boxcert.boxio import box_to_dict, save_box
-from boxcert.certificates import FORMAT_VERSION
+from boxcert.certificates import FORMAT_VERSION, membership_certificate, save_certificate
 from boxcert import cli
 from boxcert.cli import build_parser, cmd_scan, main
+from boxcert.polytope import lr_membership
 from boxcert.rational import parse_rational
 
 F = Fraction
@@ -415,6 +416,52 @@ class TestVerifyCertRejectsMalformed:
         cert_path.write_text("[]\n")
         assert main(["verify-cert", str(cert_path)]) == 1
         assert capsys.readouterr().out == "no certificates in file\n"
+
+    @staticmethod
+    def _flag_certificate(tmp_path, where):
+        """A certificate file whose flag at ``where`` is a JSON boolean, and that flag's path."""
+        cert_path = tmp_path / "cert.json"
+        if where.startswith("membership"):
+            box = uniform_box(2) if where == "membership-local" else pr_box(0, 0, 0)
+            save_certificate(membership_certificate(box, lr_membership(box)), cert_path)
+            return cert_path, ("result", "member")
+        if where.startswith("broadcast"):
+            alpha = "4/5" if where == "broadcast-feasible" else "13/16"
+            main(["broadcast-check", "--alpha", alpha, "--json", str(cert_path)])
+            return cert_path, ("result", "rows", 0, "projection", "feasible")
+        main(["hyperplane-check", "--rst", "000", "--samples", "0", "--json", str(cert_path)])
+        if where == "hyperplane-all-pass":
+            return cert_path, ("result", "all_pass")
+        return cert_path, ("result", "points", 0, "member")
+
+    @pytest.mark.parametrize("value", [0, 1, "no", None])
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "membership-local",
+            "membership-non-local",
+            "hyperplane-point",
+            "hyperplane-all-pass",
+            "broadcast-feasible",
+            "broadcast-infeasible",
+        ],
+    )
+    def test_flag_that_is_not_a_json_boolean_exits_one(self, tmp_path, capsys, where, value):
+        cert_path, path = self._flag_certificate(tmp_path, where)
+        capsys.readouterr()
+        data = json.loads(cert_path.read_text())
+        assert main(["verify-cert", str(cert_path)]) == 0
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        assert isinstance(parent[path[-1]], bool)
+        parent[path[-1]] = value
+        cert_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify-cert", str(cert_path)]) == 1
+        captured = capsys.readouterr()
+        assert "FAILED" in captured.out
+        assert "Traceback" not in captured.out + captured.err
 
     def test_empty_grid_scan_certificate_verifies(self, tmp_path):
         cert_path = tmp_path / "empty.json"

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from boxcert.box import is_fully_ns
+from boxcert.box import convex_combination, is_fully_ns
 from boxcert.chsh import beta
 from boxcert.sampling import (
     all_relabelings,
@@ -13,6 +13,7 @@ from boxcert.sampling import (
     rational_weights,
     rng_from_seed,
 )
+from boxcert.vertices import ns_vertices_2x2
 
 F = Fraction
 
@@ -24,6 +25,17 @@ def test_rational_weights_sum_to_one():
         assert sum(weights) == 1
         assert all(w >= 0 for w in weights)
         assert all(w.denominator <= 64 for w in weights)
+
+
+def test_ns_draw_is_the_rational_weight_mixture():
+    # random_ns_box mixes integer counts; the stream must equal the Fraction-weight one
+    rng, twin = rng_from_seed(74), rng_from_seed(74)
+    vertices = [b for _, b in ns_vertices_2x2()]
+    for _ in range(100):
+        box = random_ns_box(rng)
+        expected = convex_combination(rational_weights(twin, len(vertices)), vertices)
+        assert box == expected
+        assert box.probs == expected.probs and box.int_view == expected.int_view
 
 
 def test_reproducibility():
