@@ -31,6 +31,10 @@ Everything here reduces to exact LPs over named vertex sets:
   vector have closed forms, built as the ``LPOutcome`` the solver would
   return.  Local boxes, signalling boxes' membership and the 4-party cut
   still solve.
+
+Per vertex set, the membership and the anti-robustness LP of the all-zero
+table are validated once and cached; a box's LP shares their rows and
+patches only the cell rows of its nonzero entries.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .box import (
     Box,
     BoxError,
     Cut,
+    WrongShape,
     cells,
     chsh_game,
     convex_combination,
@@ -71,8 +76,7 @@ _ZERO = F(0)
 BROADCAST_CUT = Cut(frozenset({0, 2}), frozenset({1, 3}))
 
 
-class UnsupportedShape(BoxError):
-    pass
+UnsupportedShape = WrongShape  # one shape exception; the old name stays importable
 
 
 class PreconditionNotMet(BoxError):
@@ -132,88 +136,80 @@ def admixture(local: Box, q: Fraction, target: Box) -> Box:
     return Box(target.input_arity, target.output_arity, probs)
 
 
-class _WeightTemplate(NamedTuple):
-    """The rows of the weight LPs over one vertex set; only the box entries vary.
-
-    ``cells`` holds, per cell in canonical cell order, the row name, the
-    weight terms sorted by variable name (a weight's coefficient is its
-    point's entry, zeros left out), their variable names, their numerators
-    over their least common denominator and that denominator.  The
-    normalization row and the weight lower bounds come with their integer
-    rows, as ``LinearProgram`` would derive them; every LP built from one
-    template shares these rows, which nothing writes to.
-    """
-
-    weights: tuple[str, ...]
-    cells: tuple[tuple[str, tuple, tuple[str, ...], tuple[int, ...], int], ...]
-    normalization: Constraint
-    normalization_row: _IntRow
-    lower: tuple[tuple[str, Fraction], ...]
-    lower_rows: tuple[_IntRow, ...]
-
-
-@lru_cache(maxsize=16)
-def _weight_template(shape, points_key) -> _WeightTemplate:
-    """The weight-LP rows over one vertex set, built once and filled on first use.
+@lru_cache(maxsize=32)
+def _weight_template(shape, points_key, anti: bool) -> LinearProgram:
+    """The weight LP of the all-zero table over one vertex set, validated on first use.
 
     ``points_key`` holds ``(name, int_view)`` per point, so the cache keys
-    on exact integers rather than on Boxes, and hashing it is cheap.
+    on exact integers rather than on Boxes, and hashing it is cheap.  Each
+    cell row holds the nonzero vertex entries only, with right-hand side 0,
+    so it is already the row of every box whose entry there is 0.
     """
-    weights = tuple(f"w:{name}" for name, _ in points_key)
-    # the validating constructor rejects repeated names, once per vertex set
-    normalization = Constraint([(v, 1) for v in weights], "=", 1, name="normalization")
-    by_name = sorted(zip(weights, (view for _, view in points_key)))
-    rows = []
-    for k, (a, x) in enumerate(cells(*shape)):
-        terms = tuple((var, F(nums[k], den)) for var, (nums, den) in by_name if nums[k])
-        wden = lcm(*(c.denominator for _, c in terms))
-        rows.append(
-            (
-                _cell_name(a, x),
-                terms,
-                tuple(var for var, _ in terms),
-                tuple(c.numerator * (wden // c.denominator) for _, c in terms),
-                wden,
-            )
+    weights = [f"w:{name}" for name, _ in points_key]
+    views = [view for _, view in points_key]
+    constraints = [
+        Constraint(
+            [(w, F(nums[k], den)) for w, (nums, den) in zip(weights, views) if nums[k]],
+            ">=" if anti else "=",
+            0,
+            name=_cell_name(a, x),
         )
-    names = [var for var, _ in normalization.coeffs]
-    return _WeightTemplate(
-        weights,
-        tuple(rows),
-        normalization,
-        _IntRow(("con", len(rows)), dict.fromkeys(names, 1), "=", 1, 1),
-        tuple((var, _ZERO) for var in names),
-        tuple(_IntRow(("lb", var), {var: -1}, "<=", 0, 1) for var in names),
-    )
+        for k, (a, x) in enumerate(cells(*shape))
+    ]
+    constraints.append(Constraint([(w, 1) for w in weights], "=", 1, name="normalization"))
+    lower = [(w, 0) for w in weights]
+    if anti:
+        return LinearProgram(["q"] + weights, constraints, {"q": 1}, "max", [("q", 0)] + lower)
+    return LinearProgram(weights, constraints, lower=lower)
 
 
-def _template(box: Box, points: tuple[tuple[str, Box], ...]) -> _WeightTemplate:
+def _template(box: Box, points: tuple[tuple[str, Box], ...], anti: bool) -> LinearProgram:
     points_key = tuple((name, vert.int_view) for name, vert in points)
-    return _weight_template((box.input_arity, box.output_arity), points_key)
+    return _weight_template((box.input_arity, box.output_arity), points_key, anti)
+
+
+def _weight_lp(box: Box, points: tuple[tuple[str, Box], ...], anti: bool) -> LinearProgram:
+    """The template with each nonzero box entry p = pn/pd patched into its cell row.
+
+    Row k goes over den = lcm(d, pd), d the template row's denominator:
+    membership gets right-hand side p, anti-robustness the term ``("q", -p)``
+    first, as ``LinearProgram`` would derive them.  Rows are shared between
+    LPs; nothing writes to them.
+    """
+    template = _template(box, points, anti)
+    constraints = list(template.constraints)
+    rows = list(template.int_rows)
+    for k, p in enumerate(box.probs):
+        if not p:
+            continue
+        con, row = constraints[k], rows[k]
+        pn, pd = p.numerator, p.denominator
+        den = lcm(row.den, pd)
+        m = den // row.den
+        if anti:
+            # "q" sorts before every "w:" name, so it leads, as in the validated row
+            coeffs = {"q": pn * (den // pd)}
+            coeffs.update(zip(row.coeffs, [c * m for c in row.coeffs.values()]))
+            constraints[k] = Constraint._trusted((("q", -p),) + con.coeffs, ">=", con.rhs, con.name)
+            rows[k] = _IntRow(row.key, coeffs, "<=", 0, den)
+        else:
+            coeffs = {v: c * m for v, c in row.coeffs.items()}
+            constraints[k] = Constraint._trusted(con.coeffs, "=", p, con.name)
+            rows[k] = _IntRow(row.key, coeffs, "=", pn * (den // pd), den)
+    return LinearProgram._trusted(
+        template.variables,
+        tuple(constraints),
+        template.objective,
+        template.sense,
+        template.lower,
+        template.upper,
+        tuple(rows),
+    )
 
 
 def membership_lp(box: Box, points: tuple[tuple[str, Box], ...]) -> LinearProgram:
-    """Feasibility LP: box = sum of weights over ``points``, weights on the simplex.
-
-    Row k is the cell template with the box entry p as right-hand side,
-    over the least common denominator of the weight terms and p.
-    """
-    template = _template(box, points)
-    constraints = []
-    rows = []
-    for k, ((name, terms, names, nums, wden), p) in enumerate(zip(template.cells, box.probs)):
-        pd = p.denominator
-        den = lcm(wden, pd)
-        m = den // wden
-        constraints.append(Constraint._trusted(terms, "=", p, name))
-        coeffs = {v: c * m for v, c in zip(names, nums)}
-        rows.append(_IntRow(("con", k), coeffs, "=", p.numerator * (den // pd), den))
-    constraints.append(template.normalization)
-    rows.append(template.normalization_row)
-    rows.extend(template.lower_rows)
-    return LinearProgram._trusted(
-        template.weights, tuple(constraints), None, "max", template.lower, (), tuple(rows)
-    )
+    """Feasibility LP: box = sum of weights over ``points``, weights on the simplex."""
+    return _weight_lp(box, points, anti=False)
 
 
 @dataclass(frozen=True)
@@ -275,45 +271,9 @@ class AntiRobustnessResult:
     outcome: LPOutcome
 
 
-_Q_LOWER = (("q", _ZERO),)
-_Q_LOWER_ROW = (_IntRow(("lb", "q"), {"q": -1}, "<=", 0, 1),)
-_Q_OBJECTIVE = (("q", F(1)),)
-
-
 def anti_robustness_lp(box: Box, points: tuple[tuple[str, Box], ...]) -> LinearProgram:
-    """max q subject to sum(w_i v_i) - q*box >= 0 entrywise and sum(w_i) = 1.
-
-    Row k is the cell template with the term ``("q", -p)`` put first when
-    the box entry p is nonzero, negated to ``<=`` form over the least
-    common denominator of the weight terms and p.
-    """
-    template = _template(box, points)
-    constraints = []
-    rows = []
-    for k, ((name, terms, names, nums, wden), p) in enumerate(zip(template.cells, box.probs)):
-        pd = p.denominator
-        den = lcm(wden, pd)
-        m = den // wden
-        if p:
-            constraints.append(Constraint._trusted((("q", -p),) + terms, ">=", _ZERO, name))
-            coeffs = {"q": p.numerator * (den // pd)}
-        else:
-            constraints.append(Constraint._trusted(terms, ">=", _ZERO, name))
-            coeffs = {}
-        coeffs.update(zip(names, [-c * m for c in nums]))
-        rows.append(_IntRow(("con", k), coeffs, "<=", 0, den))
-    constraints.append(template.normalization)
-    rows.append(template.normalization_row)
-    rows.extend(_Q_LOWER_ROW + template.lower_rows)
-    return LinearProgram._trusted(
-        ("q",) + template.weights,
-        tuple(constraints),
-        _Q_OBJECTIVE,
-        "max",
-        _Q_LOWER + template.lower,
-        (),
-        tuple(rows),
-    )
+    """max q subject to sum(w_i v_i) - q*box >= 0 entrywise and sum(w_i) = 1."""
+    return _weight_lp(box, points, anti=True)
 
 
 def anti_robustness(box: Box, cut: Cut | None = None) -> AntiRobustnessResult:
@@ -434,6 +394,16 @@ def _facet_table(r: int, s: int, t: int) -> tuple[tuple[int, str], ...]:
     return tuple(facet)
 
 
+@rst_cache
+def _off_facet(r: int, s: int, t: int) -> tuple[str, ...]:
+    """The 8 local vertices off the facet beta_rst = 2, in ``local_vertices_2x2`` order.
+
+    Each has beta_rst = -2: it loses game rst on three cells, not one.
+    """
+    facet = {name for _, name in _facet_table(r, s, t)}
+    return tuple(name for name, _ in local_vertices_2x2() if name not in facet)
+
+
 def facet_membership(box: Box, r: int, s: int, t: int) -> FacetMembership:
     """Locality of a 2x2 box on the facet beta_rst = 2, without an LP.
 
@@ -475,8 +445,7 @@ def _facet_optimum(box: Box, peak: _Peak, points) -> tuple[LPOutcome, Box, Box]:
     game = chsh_game(r, s, t)
     dual = {("con", k): y for k, won in enumerate(game) if won > 0}
     dual[("con", len(game))] = q
-    facet = {name for _, name in _facet_table(r, s, t)}
-    dual.update((("lb", f"w:{name}"), q - y) for name, _ in points if name not in facet)
+    dual.update((("lb", f"w:{name}"), q - y) for name in _off_facet(r, s, t))
     return LPOutcome("optimal", witness, q, dual), local, admixed
 
 
@@ -492,9 +461,7 @@ def _facet_farkas(r: int, s: int, t: int) -> dict[tuple, Fraction]:
     game = chsh_game(r, s, t)
     farkas = {("con", k): F(-1 if won > 0 else 4) for k, won in enumerate(game)}
     farkas[("con", len(game))] = F(-1)
-    for name, vertex in local_vertices_2x2():
-        if beta(vertex, r, s, t) == -2:
-            farkas[("lb", f"w:{name}")] = F(10)
+    farkas.update((("lb", f"w:{name}"), F(10)) for name in _off_facet(r, s, t))
     return farkas
 
 

@@ -34,10 +34,12 @@ Certificate entries must be ``int`` or ``Fraction``; anything else fails.
 
 ``LinearProgram(...)`` and ``Constraint(...)`` validate their input and
 derive the integer rows.  ``LinearProgram._trusted`` and
-``Constraint._trusted`` take every field as given, with no check; the
-weight-LP builders in ``polytope`` use them to patch one box into
-per-vertex-set row templates, and ``broadcast.projection_lp`` to patch
-one alpha into its cached template.  They rely on the caller passing
+``Constraint._trusted`` take every field as given, with no check.  Their
+callers validate a template LP once through the public constructors and
+patch it: the weight-LP builders in ``polytope`` write one box's nonzero
+entries into the all-zero table's LP of a vertex set, and
+``broadcast.projection_lp`` writes one alpha into its LP at alpha = 1;
+every other row is the template's own.  They rely on the caller passing
 exactly what the public constructors would store: coefficient terms
 nonzero, exact and sorted by variable name, every variable known and
 named once, bounds sorted, and ``int_rows`` equal integer for integer

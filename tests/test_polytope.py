@@ -45,7 +45,7 @@ from boxcert.sampling import (
     rng_from_seed,
 )
 from boxcert.twirl import twirl
-from boxcert.vertices import ns_vertices_2x2, vertex_by_name
+from boxcert.vertices import broadcast_local_vertices, ns_vertices_2x2, vertex_by_name
 
 F = Fraction
 
@@ -603,6 +603,20 @@ class TestMonotonicityQuick:
                 )
 
 
+def counting_validating_builds(monkeypatch):
+    """Count calls of the validating Constraint and LinearProgram constructors."""
+    calls = []
+    for cls in (ratlp.Constraint, ratlp.LinearProgram):
+        init = cls.__init__
+
+        def counting_init(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            calls.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return calls
+
+
 def reference_weight_lp(box, points, anti):
     """The weight LP built row by row through the validating constructors."""
     weights = [f"w:{name}" for name, _ in points]
@@ -686,3 +700,43 @@ class TestWeightTemplates:
             assert any(vertex.int_view[1] > 2 for _, vertex in points)  # rational coefficients
             for k in range(4):
                 self.assert_same(random_ns_box_with_min_beta(rng, r, s, t), points, solve_too=k < 2)
+
+    def test_four_party_product_box(self):
+        # the 576-vertex template of test_four_party_product_membership
+        k = b_alpha(F(3, 4))
+        self.assert_same(tensor(k, k), broadcast_local_vertices())
+
+    def test_zero_entries_keep_the_template_rows(self):
+        box = pr_box(0, 1, 1)
+        points = ns_vertices_2x2()[:16]
+        assert box.probs.count(0) == 8
+        for build, anti in ((membership_lp, False), (anti_robustness_lp, True)):
+            lp = build(box, points)
+            template = polytope._template(box, points, anti)
+            for k, p in enumerate(box.probs):
+                assert (lp.constraints[k] is template.constraints[k]) == (p == 0)
+                assert (lp.int_rows[k] is template.int_rows[k]) == (p == 0)
+            # the normalization row and the bounds are the template's for every box
+            assert all(a is b for a, b in zip(lp.constraints[16:], template.constraints[16:]))
+            assert all(a is b for a, b in zip(lp.int_rows[16:], template.int_rows[16:]))
+
+    def test_no_validating_build_once_warm(self, monkeypatch):
+        rng = rng_from_seed(51)
+        sets = [ns_vertices_2x2()[:16], ray_points(0, 0, 0), ray_points(1, 1, 0)]
+
+        def boxes():
+            yield pr_box(0, 1, 1), sets[0]
+            yield random_ns_box(rng), sets[0]
+            yield random_ns_box_with_min_beta(rng, 0, 0, 0), sets[1]
+            yield random_ns_box_with_min_beta(rng, 1, 1, 0), sets[2]
+
+        for box, points in boxes():  # fills the templates
+            membership_lp(box, points)
+            anti_robustness_lp(box, points)
+        calls = counting_validating_builds(monkeypatch)
+        for box, points in boxes():  # other boxes over the same vertex sets
+            membership_lp(box, points)
+            anti_robustness_lp(box, points)
+        assert calls == []
+        reference_weight_lp(box, points, anti=True)
+        assert calls.count("Constraint") == 17 and calls.count("LinearProgram") == 1
