@@ -45,7 +45,7 @@ from .box import (
 )
 from .chsh import parity, subset_correlator
 from .polytope import admixture, mixture
-from .ratlp import Constraint, LinearProgram, LPOutcome, _IntRow, solve
+from .ratlp import Constraint, LinearProgram, LPOutcome, solve
 from .rational import as_fraction
 from .vertices import broadcast_local_vertices
 
@@ -199,39 +199,17 @@ def _projection_template() -> LinearProgram:
 def projection_lp(instance: BroadcastInstance) -> LinearProgram:
     """The projected broadcast system at ``instance.alpha``, patched into a cached template.
 
-    Only Bhat-line and the four link rows depend on alpha.  With
-    alpha = n/d and p_alpha = pn/pd they are written out as
-    ``LinearProgram`` would derive them: Bhat-line is ``d*B11 + d*B12 = n``
-    over d, and link-ij is ``-pn*B + pd*L + (pn-pd)*X = 0`` over pd, terms in
-    variable-name order, with the X term dropped where p_alpha = 1.
+    Only Bhat-line and the four link rows depend on alpha; the X term of
+    a link row drops out where p_alpha = 1.
     """
-    template = _projection_template()
     alpha, p = instance.alpha, instance.p_alpha
-    n, d = alpha.numerator, alpha.denominator
-    pn, pd = p.numerator, p.denominator
-    constraints = list(template.constraints)
-    rows = list(template.int_rows)
-    line_terms = (("B11", _ONE), ("B12", _ONE))
-    constraints[_LINE_ROW] = Constraint._trusted(line_terms, "=", alpha, "Bhat-line")
-    rows[_LINE_ROW] = _IntRow(("con", _LINE_ROW), {"B11": d, "B12": d}, "=", n, d)
+    rows = {_LINE_ROW: ((("B11", _ONE), ("B12", _ONE)), "=", alpha)}
     for k, (ij, s) in zip(_LINK_ROWS, _LINK_CELLS):
-        b, l, x = f"B{s}", f"L{s}", f"X{ij}"
-        terms = ((b, -p), (l, _ONE))
-        coeffs = {b: -pn, l: pd}
-        if pn != pd:
-            terms += ((x, p - 1),)
-            coeffs[x] = pn - pd
-        constraints[k] = Constraint._trusted(terms, "=", _ZERO, f"link-{ij}")
-        rows[k] = _IntRow(("con", k), coeffs, "=", 0, pd)
-    return LinearProgram._trusted(
-        template.variables,
-        tuple(constraints),
-        None,
-        "max",
-        template.lower,
-        (),
-        tuple(rows),
-    )
+        terms = ((f"B{s}", -p), (f"L{s}", _ONE))
+        if p != 1:
+            terms += ((f"X{ij}", p - 1),)
+        rows[k] = (terms, "=", _ZERO)
+    return _projection_template()._patched(rows)
 
 
 def projection_feasibility(instance: BroadcastInstance) -> FeasibilityVerdict:
@@ -251,7 +229,8 @@ def projection_feasibility(instance: BroadcastInstance) -> FeasibilityVerdict:
             witness["broadcast"].as_tuple(),
             witness["admixture"].as_tuple(),
         ):
-            assert lv - p * bv == (1 - p) * xv
+            if lv - p * bv != (1 - p) * xv:
+                raise RuntimeError(f"projection witness breaks a link row at alpha {instance.alpha}")
         return FeasibilityVerdict(True, instance.alpha, witness, None, lp, outcome)
     return FeasibilityVerdict(False, instance.alpha, None, outcome.farkas, lp, outcome)
 
@@ -470,10 +449,10 @@ def full_broadcast_feasibility(instance: BroadcastInstance) -> FeasibilityVerdic
     local = mixture(weights, broadcast_local_vertices())
     x = admixture(local, p, bhat)
     line_box = b_alpha(instance.alpha)
-    assert marginal(bhat, {0, 1}) == line_box
-    assert marginal(bhat, {2, 3}) == line_box
-    assert is_fully_ns(bhat).fully_ns
-    assert is_fully_ns(x).fully_ns
+    if marginal(bhat, {0, 1}) != line_box or marginal(bhat, {2, 3}) != line_box:
+        raise RuntimeError(f"broadcast copy's pair marginals are not b_alpha at {instance.alpha}")
+    if not (is_fully_ns(bhat).fully_ns and is_fully_ns(x).fully_ns):
+        raise RuntimeError(f"broadcast copy or admixture signals at alpha {instance.alpha}")
     witness = {
         "broadcast_copy": bhat,
         "local": local,

@@ -62,7 +62,7 @@ from .box import (
     uniform_box,
 )
 from .chsh import CHSHValue, beta, beta_table, max_beta
-from .ratlp import Constraint, LinearProgram, LPOutcome, _IntRow, solve
+from .ratlp import Constraint, LinearProgram, LPOutcome, solve
 from .sampling import (
     random_ns_box_with_min_beta,
     rational_weights,
@@ -169,42 +169,21 @@ def _template(box: Box, points: tuple[tuple[str, Box], ...], anti: bool) -> Line
 
 
 def _weight_lp(box: Box, points: tuple[tuple[str, Box], ...], anti: bool) -> LinearProgram:
-    """The template with each nonzero box entry p = pn/pd patched into its cell row.
+    """The template with each nonzero box entry p patched into its cell row.
 
-    Row k goes over den = lcm(d, pd), d the template row's denominator:
-    membership gets right-hand side p, anti-robustness the term ``("q", -p)``
-    first, as ``LinearProgram`` would derive them.  Rows are shared between
-    LPs; nothing writes to them.
+    Membership gets right-hand side p, anti-robustness the term ``("q", -p)``;
+    every other row is the template's own.
     """
     template = _template(box, points, anti)
-    constraints = list(template.constraints)
-    rows = list(template.int_rows)
-    for k, p in enumerate(box.probs):
-        if not p:
-            continue
-        con, row = constraints[k], rows[k]
-        pn, pd = p.numerator, p.denominator
-        den = lcm(row.den, pd)
-        m = den // row.den
-        if anti:
-            # "q" sorts before every "w:" name, so it leads, as in the validated row
-            coeffs = {"q": pn * (den // pd)}
-            coeffs.update(zip(row.coeffs, [c * m for c in row.coeffs.values()]))
-            constraints[k] = Constraint._trusted((("q", -p),) + con.coeffs, ">=", con.rhs, con.name)
-            rows[k] = _IntRow(row.key, coeffs, "<=", 0, den)
-        else:
-            coeffs = {v: c * m for v, c in row.coeffs.items()}
-            constraints[k] = Constraint._trusted(con.coeffs, "=", p, con.name)
-            rows[k] = _IntRow(row.key, coeffs, "=", pn * (den // pd), den)
-    return LinearProgram._trusted(
-        template.variables,
-        tuple(constraints),
-        template.objective,
-        template.sense,
-        template.lower,
-        template.upper,
-        tuple(rows),
-    )
+    cons = template.constraints
+    if anti:
+        # "q" sorts before every "w:" name, so it leads, as in the validated row
+        rows = {
+            k: ((("q", -p),) + cons[k].coeffs, ">=", _ZERO) for k, p in enumerate(box.probs) if p
+        }
+    else:
+        rows = {k: (cons[k].coeffs, "=", p) for k, p in enumerate(box.probs) if p}
+    return template._patched(rows)
 
 
 def membership_lp(box: Box, points: tuple[tuple[str, Box], ...]) -> LinearProgram:
@@ -346,7 +325,8 @@ def _ray_point(r: int, s: int, t: int, apex: Box, name: str, vertex: Box) -> Ray
         raise DegenerateRay("vertex lies on the apex level set beta = 4")
     p = (2 - beta_v) / (4 - beta_v)
     point = mix(p, apex, vertex)
-    assert beta(point, r, s, t) == 2
+    if beta(point, r, s, t) != 2:
+        raise RuntimeError(f"ray point toward {name} is off the hyperplane beta_{r}{s}{t} = 2")
     return RayPoint((r, s, t), name, p, point)
 
 

@@ -33,18 +33,12 @@ integer cross-multiplication; neither converts a row back to Fractions.
 Certificate entries must be ``int`` or ``Fraction``; anything else fails.
 
 ``LinearProgram(...)`` and ``Constraint(...)`` validate their input and
-derive the integer rows.  ``LinearProgram._trusted`` and
-``Constraint._trusted`` take every field as given, with no check.  Their
-callers validate a template LP once through the public constructors and
-patch it: the weight-LP builders in ``polytope`` write one box's nonzero
-entries into the all-zero table's LP of a vertex set, and
-``broadcast.projection_lp`` writes one alpha into its LP at alpha = 1;
-every other row is the template's own.  They rely on the caller passing
-exactly what the public constructors would store: coefficient terms
-nonzero, exact and sorted by variable name, every variable known and
-named once, bounds sorted, and ``int_rows`` equal integer for integer
-to what the validating constructor derives from the constraints and
-bounds.
+derive the integer rows.  ``LinearProgram._patched`` copies a validated
+LP with some constraints replaced, deriving their integer rows the same
+way and sharing every other row; it checks nothing, so each replacement's
+terms must be nonzero, exact, sorted by variable name and over the LP's
+variables.  The weight LPs in ``polytope`` and ``broadcast.projection_lp``
+patch cached templates this way.
 """
 
 from __future__ import annotations
@@ -181,17 +175,28 @@ class LinearProgram:
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "int_rows", _integer_rows(constraints, lower, upper))
 
-    @classmethod
-    def _trusted(cls, variables, constraints, objective, sense, lower, upper, int_rows):
-        """An LP from fields already in validated form, ``int_rows`` included; no check."""
-        lp = object.__new__(cls)
-        object.__setattr__(lp, "variables", variables)
-        object.__setattr__(lp, "constraints", constraints)
-        object.__setattr__(lp, "objective", objective)
-        object.__setattr__(lp, "sense", sense)
-        object.__setattr__(lp, "lower", lower)
-        object.__setattr__(lp, "upper", upper)
-        object.__setattr__(lp, "int_rows", int_rows)
+    def _patched(self, rows) -> LinearProgram:
+        """This LP with constraint k replaced by ``rows[k] = (terms, relation, rhs)``.
+
+        Each replacement keeps the name of the row it replaces and gets its
+        integer row from ``_integer_row``; every other row is this LP's own
+        object.  No check: terms must be as the validating constructor
+        stores them, nonzero, exact, sorted and over known variables.
+        """
+        constraints = list(self.constraints)
+        int_rows = list(self.int_rows)
+        for k, (terms, relation, rhs) in rows.items():
+            constraints[k] = Constraint._trusted(terms, relation, rhs, constraints[k].name)
+            int_rows[k] = _integer_row(k, constraints[k])
+        # not dataclasses.replace, which would run the validating __init__
+        lp = object.__new__(LinearProgram)
+        object.__setattr__(lp, "variables", self.variables)
+        object.__setattr__(lp, "constraints", tuple(constraints))
+        object.__setattr__(lp, "objective", self.objective)
+        object.__setattr__(lp, "sense", self.sense)
+        object.__setattr__(lp, "lower", self.lower)
+        object.__setattr__(lp, "upper", self.upper)
+        object.__setattr__(lp, "int_rows", tuple(int_rows))
         return lp
 
 
@@ -219,23 +224,19 @@ class _IntRow(NamedTuple):
     den: int
 
 
-def _integer_form(values) -> tuple[list[int], int]:
-    """Numerators of exact ``values`` over their least common denominator."""
-    pairs = [(v.numerator, v.denominator) for v in values]
-    den = lcm(*[d for _, d in pairs])
-    return [n * (den // d) for n, d in pairs], den
+def _integer_row(i: int, con: Constraint) -> _IntRow:
+    """Constraint i over the least common denominator of its terms and rhs, >= negated."""
+    rhs = con.rhs
+    den = lcm(rhs.denominator, *[c.denominator for _, c in con.coeffs])
+    scale = -den if con.relation == ">=" else den
+    coeffs = {var: c.numerator * scale // c.denominator for var, c in con.coeffs}
+    relation = "=" if con.relation == "=" else "<="
+    return _IntRow(("con", i), coeffs, relation, rhs.numerator * scale // rhs.denominator, den)
 
 
 def _integer_rows(constraints, lower, upper) -> tuple[_IntRow, ...]:
     """Constraints (>= negated to <=) followed by lb/ub bound rows."""
-    rows = []
-    for i, con in enumerate(constraints):
-        nums, den = _integer_form([c for _, c in con.coeffs] + [con.rhs])
-        if con.relation == ">=":
-            nums = [-v for v in nums]
-        rhs = nums.pop()
-        coeffs = {var: v for (var, _), v in zip(con.coeffs, nums)}
-        rows.append(_IntRow(("con", i), coeffs, "=" if con.relation == "=" else "<=", rhs, den))
+    rows = [_integer_row(i, con) for i, con in enumerate(constraints)]
     for var, lo in lower:
         q = lo.denominator
         rows.append(_IntRow(("lb", var), {var: -q}, "<=", -lo.numerator, q))
@@ -249,9 +250,9 @@ def _integer_objective(lp: LinearProgram) -> tuple[dict[str, int], int]:
     """Objective as a maximization, numerators over their least common denominator."""
     if lp.objective is None:
         return {}, 1
-    nums, den = _integer_form([c for _, c in lp.objective])
-    sign = -1 if lp.sense == "min" else 1
-    return {var: sign * v for (var, _), v in zip(lp.objective, nums)}, den
+    den = lcm(*[c.denominator for _, c in lp.objective])
+    scale = -den if lp.sense == "min" else den
+    return {var: c.numerator * scale // c.denominator for var, c in lp.objective}, den
 
 
 # ---------------------------------------------------------------------------

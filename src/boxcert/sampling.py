@@ -78,7 +78,8 @@ def random_ns_box_with_min_beta(rng: random.Random, r: int, s: int, t: int) -> B
     mu_min = (2 - beta_base) / (4 - beta_base)
     mu = mu_min + (1 - mu_min) * random_rational(rng)
     box = mix(mu, apex, base)
-    assert beta(box, r, s, t) >= 2
+    if beta(box, r, s, t) < 2:
+        raise RuntimeError(f"mixture toward the apex has beta_{r}{s}{t} below 2")
     return box
 
 

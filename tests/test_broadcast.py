@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from boxcert import ratlp
+from boxcert import broadcast, ratlp
 from boxcert.box import b_alpha, convex_combination, mix, permute_parties, pr_box, tensor
 from boxcert.broadcast import (
     _CELL_ORBITS,
@@ -205,6 +205,19 @@ class TestProjectionFeasibility:
         edge = projection_feasibility(BroadcastInstance(F(4, 5)))
         assert edge.feasible
         assert edge.witness["broadcast"].p22 == 0
+
+    def test_witness_breaking_a_link_row_raises(self, monkeypatch):
+        # a runtime check, not an assert, so that python -O keeps it
+        def solve_with_a_broken_witness(lp):
+            out = ratlp.solve(lp)
+            # X = (0, 0, 0, 1) at 25/32; swapping X11 and X22 keeps it a distribution
+            w = out.witness
+            witness = dict(w, X11=w["X22"], X22=w["X11"])
+            return ratlp.LPOutcome("optimal", witness, out.objective_value, out.dual)
+
+        monkeypatch.setattr(broadcast, "solve", solve_with_a_broken_witness)
+        with pytest.raises(RuntimeError, match="link row"):
+            projection_feasibility(BroadcastInstance(F(25, 32)))  # p_alpha = 24/25
 
     def test_verdict_on_reference_grid(self):
         # the standard scan grid separates cleanly: feasible only at 3/4

@@ -1,6 +1,7 @@
 """Certificate serialization and independent re-verification."""
 
 import copy
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -16,6 +17,7 @@ from boxcert.certificates import (
     membership_certificate,
     outcome_from_dict,
     outcome_to_dict,
+    save_certificate,
     scan_certificate,
     verify_certificate,
 )
@@ -26,7 +28,7 @@ from boxcert.polytope import (
     hyperplane_locality_check,
     lr_membership,
 )
-from boxcert.sampling import random_ns_box, rng_from_seed
+from boxcert.sampling import random_box, random_ns_box, rng_from_seed
 
 F = Fraction
 
@@ -79,6 +81,30 @@ class TestMembershipCertificates:
         bad["outcome"]["farkas"][key] = f"{value.numerator * 1000 + 1}/{value.denominator * 1000}"
         ok, _ = verify_certificate(bad)
         assert not ok
+
+
+class TestPinnedMembershipCertificates:
+    """Membership certificate bytes, which no CLI verb writes, stay byte-identical."""
+
+    @pytest.mark.parametrize(
+        "box, digest",
+        [
+            # local: solved, convex weights
+            (b_alpha(F(3, 4)), "0f516ebc9c155d6c006e55f8945b0d461207203de527f7b161d8801d4f8b3f2f"),
+            # non-local and fully NS: the CHSH facet's Farkas vector, no solve
+            (pr_box(0, 0, 0), "9551cddb69e52a2dfcc44453db2f69961d1a27f337980264d2f592e1abaa8ae9"),
+            # signalling: solved, Farkas vector
+            (
+                random_box(rng_from_seed(3)),
+                "418115ab8fc6f970bc7bef6e0b5f1bbb0b3dd58698f56216545a73ad54885a38",
+            ),
+        ],
+        ids=["b_alpha(3/4)", "pr_box(0,0,0)", "random_box(seed 3)"],
+    )
+    def test_sha256(self, box, digest, tmp_path):
+        path = tmp_path / "membership.json"
+        save_certificate(membership_certificate(box, lr_membership(box)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestAntiRobustnessCertificates:

@@ -457,6 +457,88 @@ class TestBoundKinds:
                 assert check_witness(bad, out)
 
 
+def patched_reference(lp, rows):
+    """``lp`` with ``rows`` patched in, built through the validating constructors."""
+    constraints = list(lp.constraints)
+    for k, (terms, relation, rhs) in rows.items():
+        constraints[k] = Constraint(dict(terms), relation, rhs, name=constraints[k].name)
+    return LinearProgram(
+        lp.variables,
+        constraints,
+        None if lp.objective is None else dict(lp.objective),
+        lp.sense,
+        dict(lp.lower),
+        dict(lp.upper),
+    )
+
+
+class TestPatched:
+    """``LinearProgram._patched`` must equal the validating build, integer for integer."""
+
+    @staticmethod
+    def assert_same(lp, rows):
+        patched, ref = lp._patched(rows), patched_reference(lp, rows)
+        assert patched == ref
+        assert repr(patched) == repr(ref)
+        assert patched.int_rows == ref.int_rows
+        assert repr(patched.int_rows) == repr(ref.int_rows)
+        # the solver walks each row's terms in dict order
+        assert [list(row.coeffs) for row in patched.int_rows] == [
+            list(row.coeffs) for row in ref.int_rows
+        ]
+        for k, con in enumerate(lp.constraints):
+            assert (patched.constraints[k] is con) == (k not in rows)
+            assert (patched.int_rows[k] is lp.int_rows[k]) == (k not in rows)
+        # bound rows are never patched
+        n = len(lp.constraints)
+        assert all(a is b for a, b in zip(patched.int_rows[n:], lp.int_rows[n:]))
+        assert repr(solve(patched)) == repr(solve(ref))
+
+    @pytest.mark.parametrize("objective", [None, {"x": F(2, 3), "z": -1}])
+    @pytest.mark.parametrize("sense", ["max", "min"])
+    def test_each_relation_into_each_other(self, objective, sense):
+        lp = LinearProgram(
+            variables=["u", "x", "y", "z"],
+            constraints=[
+                Constraint({"x": F(1, 2), "y": -3}, "<=", F(5, 7), name="a"),
+                Constraint({"y": F(2, 3), "z": 1}, ">=", -1, name="b"),
+                Constraint({"x": 1, "z": F(4, 5)}, "=", F(3, 2), name="c"),
+                Constraint({"u": 7}, "<=", 2, name="d"),
+            ],
+            objective=objective,
+            sense=sense,
+            lower={"x": 0, "y": F(-1, 3)},
+            upper={"z": F(5, 2), "u": 1},
+        )
+        rows = {
+            0: ((("u", F(3, 4)), ("x", F(-5, 6))), ">=", F(-2, 9)),
+            1: ((("y", F(1, 6)),), "=", F(7, 4)),
+            2: ((("x", F(2)), ("y", F(-1, 10)), ("z", F(3))), "<=", F(0)),
+        }
+        self.assert_same(lp, rows)
+        self.assert_same(lp, {})
+        for k, row in rows.items():
+            self.assert_same(lp, {k: row})
+
+    def test_seeded_patches(self):
+        rng = random.Random(13)
+        for n in range(30):
+            lp, _, _ = random_bounded_lp(rng, rng.randint(4, 7), rng.randint(1, 4))
+            if n % 2:
+                lp = LinearProgram(
+                    lp.variables, lp.constraints, None, "max", dict(lp.lower), dict(lp.upper)
+                )
+            rows = {}
+            for k in rng.sample(range(len(lp.constraints)), rng.randint(1, 4)):
+                names = sorted(rng.sample(lp.variables, rng.randint(1, len(lp.variables))))
+                terms = tuple(
+                    (v, F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))) for v in names
+                )
+                rhs = F(rng.randint(-20, 20), rng.randint(1, 12))
+                rows[k] = (terms, rng.choice(("<=", ">=", "=")), rhs)
+            self.assert_same(lp, rows)
+
+
 class TestDump:
     def test_dump_contains_rows_and_bounds(self):
         lp = LinearProgram(
