@@ -10,14 +10,15 @@ takes the order from it.
 Every box also has an integer view, ``Box.int_view``: the entries'
 numerators over their least common denominator.  Mixtures, products,
 party permutations, marginals, relabelings, twirls, the non-signalling
-check and the CHSH correlators compute on it.  A box that such an
-operation builds from validated boxes is valid by construction, so it
-comes back through ``Box._trusted``, which skips re-validation: a convex
-combination with checked weights, a product of boxes, a bijection of
-cells that maps each input block onto an input block (or a mixture of
+check, the CHSH correlators and box equality compute on it.  A box that
+such an operation builds from validated boxes is valid by construction,
+so it comes back through ``Box._trusted``, which skips re-validation: a
+convex combination with checked weights, a product of boxes, a bijection
+of cells that maps each input block onto an input block (or a mixture of
 such), and the marginal of a box just checked non-signalling across the
-cut.  Every other box, and every box read from outside, goes through the
-validating ``Box(...)``.
+cut.  Such a box stores only its integer view; its ``Fraction`` entries
+are built when ``probs`` is first read.  Every other box, and every box
+read from outside, goes through the validating ``Box(...)``.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, wraps
+from functools import cache, wraps
 from math import gcd, lcm, prod
 
-from .rational import as_fraction
+from .rational import as_fraction, ratio
 
 _ZERO = Fraction(0)
 
@@ -135,9 +136,15 @@ def cell_map(shape, source_shape, source) -> tuple[int, ...]:
     return tuple(position[source(a, x)] for a, x in cells(*shape))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
-    """Validated conditional probability table with Fraction entries."""
+    """Validated conditional probability table with Fraction entries.
+
+    ``int_view`` is ``(nums, den)``: entry i is ``nums[i]/den``, with ``den``
+    the entries' least common denominator, so the view is in least form and
+    two boxes of one shape are equal exactly when their views are; ``==``
+    and ``hash`` compare it.  It is not part of ``repr``.
+    """
 
     input_arity: tuple[int, ...]
     output_arity: tuple[int, ...]
@@ -166,9 +173,12 @@ class Box:
                     raise BoxError(f"entry P{cell[k][0]}|{cell[k][1]} is not a Fraction: {p!r}")
                 if p < 0:
                     raise NegativeEntry(*cell[k], p)
-            total = sum(block)
-            if total != 1:
-                raise NotNormalized(cell[start][1], total)
+            den = lcm(*(p.denominator for p in block))
+            total = sum(p.numerator * (den // p.denominator) for p in block)
+            if total != den:
+                raise NotNormalized(cell[start][1], Fraction(total, den))
+        den = lcm(*(p.denominator for p in probs))
+        vars(self)["int_view"] = tuple(p.numerator * (den // p.denominator) for p in probs), den
 
     @classmethod
     def _trusted(cls, input_arity, output_arity, nums, den) -> Box:
@@ -180,9 +190,9 @@ class Box:
         cells that maps each input block onto an input block, or a
         mixture of such with positive weights; or the marginal of a
         validated box just checked non-signalling across the cut; or the
-        uniform box, whose blocks are equal entries summing to 1.  Each
-        Fraction is built once, and the integer view is stored in least
-        form.
+        uniform box, whose blocks are equal entries summing to 1.  Only
+        the integer view is stored, in least form; ``probs`` is built
+        from it when first read.
         """
         g = gcd(den, *nums)
         if g > 1:
@@ -190,21 +200,29 @@ class Box:
             den //= g
         box = object.__new__(cls)
         vars(box).update(
-            input_arity=input_arity,
-            output_arity=output_arity,
-            probs=tuple(Fraction(n, den) if n else _ZERO for n in nums),
-            int_view=(tuple(nums), den),
+            input_arity=input_arity, output_arity=output_arity, int_view=(tuple(nums), den)
         )
         return box
 
-    @cached_property
-    def int_view(self) -> tuple[tuple[int, ...], int]:
-        """``(nums, den)``: entry i is ``nums[i]/den``, ``den`` the least common denominator.
+    def __getattr__(self, name):
+        """Build and keep a ``_trusted`` box's ``probs`` on first read."""
+        if name != "probs" or "int_view" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        nums, den = self.int_view
+        probs = vars(self)["probs"] = tuple(Fraction(n, den) if n else _ZERO for n in nums)
+        return probs
 
-        Computed on first use; not part of ``repr``, ``==`` or ``hash``.
-        """
-        den = lcm(*(p.denominator for p in self.probs))
-        return tuple(p.numerator * (den // p.denominator) for p in self.probs), den
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.input_arity, self.output_arity, self.int_view) == (
+            other.input_arity,
+            other.output_arity,
+            other.int_view,
+        )
+
+    def __hash__(self):
+        return hash((self.input_arity, self.output_arity, self.int_view))
 
     @property
     def party_count(self) -> int:
@@ -345,12 +363,16 @@ def mix(p, box_a: Box, box_b: Box) -> Box:
     return Box._trusted(box_a.input_arity, box_a.output_arity, nums, p.denominator * den)
 
 
+def weight_counts(weights) -> tuple[list[int], int]:
+    """``(counts, scale)`` with ``weights[i] = counts[i]/scale``; weights as ``ratio`` reads them."""
+    pairs = [ratio(w) for w in weights]
+    scale = lcm(*(d for _, d in pairs))
+    return [n * (scale // d) for n, d in pairs], scale
+
+
 def convex_combination(weights, boxes) -> Box:
     """Exact mixture sum(w_i * box_i); weights must sum to 1."""
-    weights = [as_fraction(w) for w in weights]
-    scale = lcm(*(w.denominator for w in weights))
-    counts = [w.numerator * (scale // w.denominator) for w in weights]  # w_i = counts[i]/scale
-    return count_combination(counts, scale, boxes)
+    return count_combination(*weight_counts(weights), boxes)
 
 
 def count_combination(counts, scale: int, boxes) -> Box:
@@ -364,7 +386,7 @@ def count_combination(counts, scale: int, boxes) -> Box:
         raise ShapeMismatch("cannot mix boxes of different shape")
     terms = [(k, b.int_view) for k, b in zip(counts, boxes) if k]
     den = lcm(*(d for _, (_, d) in terms))
-    acc = [0] * len(boxes[0].probs)
+    acc = [0] * len(boxes[0].int_view[0])
     for k, (nums, d) in terms:
         f = k * (den // d)
         for i, v in enumerate(nums):

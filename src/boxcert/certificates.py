@@ -5,6 +5,11 @@ outcome; ``verify_certificate`` rebuilds the corresponding LP with the
 same deterministic builders and re-checks everything by exact
 substitution — no pivoting, no re-solving.  A single perturbed
 coordinate anywhere makes verification fail.
+
+Stated values are ``"num/den"`` strings or JSON integers, never
+booleans.  The verifier reads each as an integer pair (``ratio``) and
+compares it with the recomputed value by cross-multiplication, so equal
+non-canonical spellings (``"2/128"`` for ``1/64``) pass.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .broadcast import (
     full_broadcast_lp,
     projection_lp,
 )
-from .chsh import beta_table
+from .chsh import beta_numerators
 from .polytope import (
     BROADCAST_CUT,
     AntiRobustnessResult,
@@ -39,7 +44,8 @@ from .polytope import (
     _ray_table,
 )
 from .ratlp import LPOutcome, check_witness
-from .rational import as_fraction, format_rational
+from .rational import as_fraction, format_rational, ratio
+from .sampling import DEFAULT_DENOMINATOR
 from .vertices import local_vertices_2x2
 
 F = Fraction
@@ -113,8 +119,10 @@ def _weights_to_dict(weights: dict[str, Fraction]) -> dict:
     return {name: _frac(w) for name, w in sorted(weights.items())}
 
 
-def _weights_from_dict(data: dict) -> dict[str, Fraction]:
-    return {name: as_fraction(w) for name, w in _items(data, "weights")}
+def _same(stated, value: Fraction) -> bool:
+    """Whether a stated rational equals ``value``, compared on integers."""
+    num, den = ratio(stated)
+    return num * value.denominator == value.numerator * den
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +258,10 @@ def _verify_membership(data: dict, errors: list[str]) -> None:
     member = data["result"]["member"]
     message = "member flag disagrees with LP outcome status"
     _check_flag(member, outcome.status == "optimal", message, errors)
-    if member is True and mixture(_weights_from_dict(data["result"]["weights"]), points) != box:
-        errors.append("weights do not reconstruct the box")
+    if member is True:
+        weights = _object(data["result"]["weights"], "weights")
+        if mixture(weights, points) != box:
+            errors.append("weights do not reconstruct the box")
 
 
 def _verify_antirobustness(data: dict, errors: list[str]) -> None:
@@ -262,15 +272,18 @@ def _verify_antirobustness(data: dict, errors: list[str]) -> None:
     if not check_witness(lp, outcome):
         errors.append("LP outcome fails check_witness")
         return
-    value = as_fraction(data["result"]["value"])
-    if outcome.status != "optimal" or outcome.objective_value != value:
+    num, den = ratio(data["result"]["value"])
+    q = outcome.objective_value
+    if outcome.status != "optimal" or num * q.denominator != q.numerator * den:
         errors.append("stated value disagrees with verified optimum")
         return
-    local = mixture(_weights_from_dict(data["result"]["weights"]), points)
-    for lv, bv in zip(local.probs, box.probs):
-        if lv - value * bv < 0:
-            errors.append("local witness fails the admixture inequality")
-            return
+    local = mixture(_object(data["result"]["weights"], "weights"), points)
+    # L - (num/den)*box >= 0 entrywise, multiplied through by den * l_den * b_den > 0
+    l_nums, l_den = local.int_view
+    b_nums, b_den = box.int_view
+    fl, fb = den * b_den, num * l_den
+    if any(fl * u < fb * v for u, v in zip(l_nums, b_nums)):
+        errors.append("local witness fails the admixture inequality")
 
 
 def _check_all_pass(data: dict, errors: list[str]) -> None:
@@ -288,18 +301,20 @@ def _verify_hyperplane(data: dict, errors: list[str]) -> None:
         return
     for entry, ray in zip(entries, rays):
         name = ray.vertex_name
-        if as_fraction(entry["p"]) != ray.p:
+        if not _same(entry["p"], ray.p):
             errors.append(f"{name}: stated p differs from the hyperplane solution")
-        values, local_flag = beta_table(ray.point)
-        for v in values:
-            if as_fraction(entry["betas"][f"{v.r}{v.s}{v.t}"]) != v.value:
-                errors.append(f"{name}: stated beta_{v.r}{v.s}{v.t} differs")
-        if not local_flag:
+        sums, den = beta_numerators(ray.point)
+        for rst, v in sums.items():
+            key = "%d%d%d" % rst
+            num, d = ratio(entry["betas"][key])
+            if num * den != v * d:
+                errors.append(f"{name}: stated beta_{key} differs")
+        if not all(-2 * den <= v <= 2 * den for v in sums.values()):
             errors.append(f"{name}: point violates a CHSH facet")
         message = f"{name}: certificate does not claim membership"
         if not _check_flag(entry["member"], True, message, errors):
             continue
-        if mixture(_weights_from_dict(entry["weights"]), local_vertices_2x2()) != ray.point:
+        if mixture(_object(entry["weights"], "weights"), local_vertices_2x2()) != ray.point:
             errors.append(f"{name}: membership weights do not reconstruct the point")
     _check_all_pass(data, errors)
 
@@ -317,14 +332,17 @@ def _verify_halfspace(data: dict, errors: list[str]) -> None:
         errors.append("halfspace sample count mismatch")
         return
     draws = halfspace_draws(r, s, t, samples, data["inputs"]["seed"])
-    for k, (row, expected) in enumerate(zip(hull_rows, islice(draws, samples))):
-        if [as_fraction(w) for w in row] != expected:
+    for k, (row, counts) in enumerate(zip(hull_rows, islice(draws, samples))):
+        stated = [ratio(w) for w in row]
+        if len(stated) != len(counts) or any(
+            n * DEFAULT_DENOMINATOR != c * d for (n, d), c in zip(stated, counts)
+        ):
             errors.append(f"hull sample {k}: weights differ from the seeded stream")
-        elif fault := hull_fault(r, s, t, expected):
+        elif fault := hull_fault(r, s, t, counts):
             errors.append(f"hull sample {k}: {fault}")
     points = ray_points(r, s, t)
     for k, (row, candidate) in enumerate(zip(half_rows, draws)):
-        weights = _weights_from_dict(row)
+        weights = _object(row, "weights")
         if not weights:
             errors.append(f"halfspace sample {k}: missing decomposition")
         elif mixture(weights, points) != candidate:
@@ -338,9 +356,11 @@ def _verify_broadcast(data: dict, errors: list[str]) -> None:
     for i, entry in enumerate(rows):
         alpha = as_fraction(entry["alpha"])
         instance = BroadcastInstance(alpha)
-        if as_fraction(entry["p_alpha"]) != instance.p_alpha:
+        if not _same(entry["p_alpha"], instance.p_alpha):
             errors.append(f"alpha={alpha}: stated p_alpha wrong")
-        if as_fraction(entry["anti_robustness"]) != anti_robustness_closed_form(b_alpha(alpha)):
+        num, den = ratio(entry["anti_robustness"])
+        q = anti_robustness_closed_form(b_alpha(alpha))
+        if num * q.denominator != q.numerator * den:
             errors.append(f"alpha={alpha}: stated anti_robustness wrong")
         projection = _object(entry["projection"], f"rows[{i}].projection")
         outcome = outcome_from_dict(projection["outcome"])

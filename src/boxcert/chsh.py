@@ -66,11 +66,19 @@ def beta_cell_coefficients(r: int, s: int, t: int) -> dict[tuple, Fraction]:
     return dict(zip(keys, map(Fraction, chsh_game(r, s, t))))
 
 
-def beta_table(box: Box) -> tuple[list[CHSHValue], bool]:
-    """All 8 CHSH values plus a locality flag (all within [-2, 2])."""
+def beta_numerators(box: Box) -> tuple[dict[tuple[int, int, int], int], int]:
+    """``(sums, den)``: beta_rst = ``sums[(r, s, t)]/den`` for all 8 triples, in rst order.
+
+    ``den`` is the denominator of ``box.int_view``; every sum is an integer.
+    """
     require_2x2(box)
     nums, den = box.int_view
-    sums = {rst: sum(map(mul, game, nums)) for rst, game in _GAMES.items()}
+    return {rst: sum(map(mul, game, nums)) for rst, game in _GAMES.items()}, den
+
+
+def beta_table(box: Box) -> tuple[list[CHSHValue], bool]:
+    """All 8 CHSH values plus a locality flag (all within [-2, 2])."""
+    sums, den = beta_numerators(box)
     values = [CHSHValue(*rst, Fraction(v, den)) for rst, v in sums.items()]
     local = all(-2 * den <= v <= 2 * den for v in sums.values())
     return values, local

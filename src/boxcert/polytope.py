@@ -53,19 +53,21 @@ from .box import (
     WrongShape,
     cells,
     chsh_game,
-    convex_combination,
+    count_combination,
     is_fully_ns,
     mix,
     pr_box,
     require_2x2,
     rst_cache,
     uniform_box,
+    weight_counts,
 )
 from .chsh import CHSHValue, beta, beta_table, max_beta
 from .ratlp import Constraint, LinearProgram, LPOutcome, solve
 from .sampling import (
+    DEFAULT_DENOMINATOR,
+    composition,
     random_ns_box_with_min_beta,
-    rational_weights,
     rng_from_seed,
 )
 from .vertices import broadcast_local_vertices, local_vertices_2x2, ns_vertices_2x2
@@ -116,10 +118,16 @@ def named_weights(witness: dict, points: tuple[tuple[str, Box], ...]) -> dict[st
     return {name: w for name, _ in points if (w := witness[f"w:{name}"])}
 
 
-def mixture(weights: dict[str, Fraction], points) -> Box:
-    """The mixture of the named ``points`` with ``weights`` (name -> weight)."""
+def mixture(weights: dict, points) -> Box:
+    """The mixture of the named ``points`` with ``weights`` (name -> weight).
+
+    A weight is a Fraction or anything else ``ratio`` reads, such as a
+    certificate's stated ``"num/den"`` string; every weight is read before
+    any name is looked up.
+    """
+    counts, scale = weight_counts(weights.values())
     lookup = dict(points)
-    return convex_combination(list(weights.values()), [lookup[name] for name in weights])
+    return count_combination(counts, scale, [lookup[name] for name in weights])
 
 
 def admixture(local: Box, q: Fraction, target: Box) -> Box:
@@ -396,7 +404,7 @@ def facet_membership(box: Box, r: int, s: int, t: int) -> FacetMembership:
     nums, den = box.int_view
     if sum(nums[k] for k, _ in facet) != den:
         return FacetMembership(False, None)
-    weights = {name: box.probs[k] for k, name in facet if nums[k]}
+    weights = {name: F(nums[k], den) for k, name in facet if nums[k]}
     if mixture(weights, local_vertices_2x2()) != box:
         return FacetMembership(False, None)
     return FacetMembership(True, weights)
@@ -497,18 +505,22 @@ class HalfspaceReport:
 
 
 def halfspace_draws(r: int, s: int, t: int, samples: int, seed: int):
-    """Seeded draws: ``samples`` weight rows over ``ray_points``, then ``samples`` boxes."""
+    """Seeded draws: ``samples`` count rows over ``ray_points``, then ``samples`` boxes.
+
+    A count row holds integers summing to ``DEFAULT_DENOMINATOR``: the
+    weight of point i is ``row[i]/DEFAULT_DENOMINATOR``.
+    """
     rng = rng_from_seed(seed)
     count = 1 + len(_ray_table(r, s, t))
     for _ in range(samples):
-        yield rational_weights(rng, count)
+        yield composition(rng, count, DEFAULT_DENOMINATOR)
     for _ in range(samples):
         yield random_ns_box_with_min_beta(rng, r, s, t)
 
 
-def hull_fault(r: int, s: int, t: int, weights) -> str | None:
-    """Why the ``weights`` mixture of ``ray_points`` leaves {beta_rst >= 2} ∩ NS, or None."""
-    candidate = convex_combination(weights, [b for _, b in ray_points(r, s, t)])
+def hull_fault(r: int, s: int, t: int, counts) -> str | None:
+    """Why the mixture of ``ray_points`` by a count row leaves {beta_rst >= 2} ∩ NS, or None."""
+    candidate = count_combination(counts, DEFAULT_DENOMINATOR, [b for _, b in ray_points(r, s, t)])
     if beta(candidate, r, s, t) < 2:
         return "beta below 2"
     if not is_fully_ns(candidate).fully_ns:
@@ -527,7 +539,8 @@ def _pyramid_weights(box: Box, r: int, s: int, t: int, points) -> dict[str, Frac
     apex_weight = (beta(box, r, s, t) - 2) / 2
     if apex_weight < 0:
         return None
-    closed = {f"ray:{name}": box.probs[k] for k, name in _facet_table(r, s, t)}
+    nums, den = box.int_view
+    closed = {f"ray:{name}": F(nums[k], den) for k, name in _facet_table(r, s, t) if nums[k]}
     closed[f"pr_{r}{s}{t}"] = apex_weight
     weights = {name: w for name, _ in points if (w := closed.get(name))}
     return weights if mixture(weights, points) == box else None
@@ -557,11 +570,11 @@ def halfspace_body_equality_check(
     """
     points = ray_points(r, s, t)
     draws = halfspace_draws(r, s, t, samples, seed)
-    hull_weights = tuple(tuple(row) for row in islice(draws, samples))
+    hull_counts = list(islice(draws, samples))
     hull_failures = [
         HalfspaceSample(k, False, fault)
-        for k, weights in enumerate(hull_weights)
-        if (fault := hull_fault(r, s, t, weights))
+        for k, counts in enumerate(hull_counts)
+        if (fault := hull_fault(r, s, t, counts))
     ]
     half_failures = []
     half_decompositions = []
@@ -574,7 +587,7 @@ def halfspace_body_equality_check(
         (r, s, t),
         samples,
         seed,
-        hull_weights,
+        tuple(tuple(F(k, DEFAULT_DENOMINATOR) for k in row) for row in hull_counts),
         tuple(half_decompositions),
         tuple(hull_failures),
         tuple(half_failures),

@@ -25,7 +25,7 @@ def rng_from_seed(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def _composition(rng: random.Random, count: int, denominator: int) -> list[int]:
+def composition(rng: random.Random, count: int, denominator: int) -> list[int]:
     """A random composition of ``denominator`` into ``count`` non-negative integers."""
     cuts = sorted(rng.randint(0, denominator) for _ in range(count - 1))
     bounds = [0] + cuts + [denominator]
@@ -34,7 +34,7 @@ def _composition(rng: random.Random, count: int, denominator: int) -> list[int]:
 
 def rational_weights(rng: random.Random, count: int, denominator: int = DEFAULT_DENOMINATOR) -> list[Fraction]:
     """A random composition of 1 into ``count`` weights k_i/denominator."""
-    return [Fraction(k, denominator) for k in _composition(rng, count, denominator)]
+    return [Fraction(k, denominator) for k in composition(rng, count, denominator)]
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -60,7 +60,7 @@ def random_ns_box(rng: random.Random) -> Box:
     ``random_ns_box_with_min_beta`` for non-local boxes.
     """
     boxes = [b for _, b in ns_vertices_2x2()]
-    counts = _composition(rng, len(boxes), DEFAULT_DENOMINATOR)
+    counts = composition(rng, len(boxes), DEFAULT_DENOMINATOR)
     return count_combination(counts, DEFAULT_DENOMINATOR, boxes)
 
 

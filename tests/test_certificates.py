@@ -124,6 +124,16 @@ class TestAntiRobustnessCertificates:
         ok, _ = verify_certificate(bad)
         assert not ok
 
+    def test_weights_failing_the_admixture_inequality(self):
+        # one deterministic vertex is a convex combination, but L - (6/7)*box has negative entries
+        box = b_alpha(F(7, 8))
+        data = roundtrip(antirobustness_certificate(box, anti_robustness(box)))
+        data["result"]["weights"] = {"det_00_00": "1/1"}
+        assert verify_certificate(data) == (
+            False,
+            ["local witness fails the admixture inequality"],
+        )
+
     def test_mutated_dual_fails(self):
         box = b_alpha(F(7, 8))
         data = roundtrip(antirobustness_certificate(box, anti_robustness(box)))
@@ -366,6 +376,69 @@ class TestStatedValuesRechecked:
     def test_halfspace_without_samples_stays_valid(self):
         report = halfspace_body_equality_check(0, 0, 0, samples=0, seed=0)
         assert verify_certificate(roundtrip(halfspace_certificate(report))) == (True, [])
+
+    def halfspace_data(self):
+        report = halfspace_body_equality_check(0, 0, 0, samples=4, seed=5)
+        return roundtrip(halfspace_certificate(report))
+
+    def first_hull_weight(self, data, text):
+        """(row, column) of the first hull weight spelled ``text``."""
+        rows = data["result"]["hull_weights"]
+        return next((i, j) for i, row in enumerate(rows) for j, w in enumerate(row) if w == text)
+
+    def test_antirobustness_value_true_rejected(self):
+        # b_alpha(3/4) is local, so its optimum is 1, which a JSON true equals
+        box = b_alpha(F(3, 4))
+        data = roundtrip(antirobustness_certificate(box, anti_robustness(box)))
+        assert data["result"]["value"] == "1/1"
+        assert verify_certificate(data) == (True, [])
+        data["result"]["value"] = True
+        ok, errors = verify_certificate(data)
+        assert not ok
+        assert errors == [
+            "malformed certificate: RationalFormatError('not an exact rational: True (bool)')"
+        ]
+
+    def test_halfspace_hull_weight_false_rejected(self):
+        data = self.halfspace_data()
+        assert verify_certificate(data) == (True, [])
+        i, j = self.first_hull_weight(data, "0/1")
+        data["result"]["hull_weights"][i][j] = False
+        ok, errors = verify_certificate(data)
+        assert not ok
+        assert errors == [
+            "malformed certificate: RationalFormatError('not an exact rational: False (bool)')"
+        ]
+
+    def test_non_canonical_hull_weight_still_verifies(self):
+        data = self.halfspace_data()
+        i, j = self.first_hull_weight(data, "1/64")
+        data["result"]["hull_weights"][i][j] = "2/128"
+        assert verify_certificate(data) == (True, [])
+        data["result"]["hull_weights"][i][j] = "3/128"
+        assert verify_certificate(data) == (
+            False,
+            [
+                f"hull sample {i}: weights differ from the seeded stream",
+                "stated all_pass disagrees with the verified checks",
+            ],
+        )
+
+    def test_integer_beta_still_verifies(self):
+        data = roundtrip(hyperplane_certificate(hyperplane_locality_check(0, 0, 0)))
+        point = data["result"]["points"][0]
+        assert point["betas"]["000"] == "2/1"
+        point["betas"]["000"] = 2
+        assert verify_certificate(data) == (True, [])
+        point["betas"]["000"] = 3
+        name = point["vertex"]
+        assert verify_certificate(data) == (
+            False,
+            [
+                f"{name}: stated beta_000 differs",
+                "stated all_pass disagrees with the verified checks",
+            ],
+        )
 
 
 @pytest.mark.full_oracle

@@ -27,6 +27,7 @@ from boxcert.box import (
     b_alpha,
     cells,
     convex_combination,
+    count_combination,
     is_fully_ns,
     is_ns_in_cut,
     marginal,
@@ -38,7 +39,7 @@ from boxcert.box import (
 )
 from boxcert.boxio import box_from_dict, box_to_dict
 from boxcert.certificates import antirobustness_certificate, verify_certificate
-from boxcert.polytope import anti_robustness
+from boxcert.polytope import anti_robustness, lr_membership, mixture
 from boxcert.sampling import (
     random_box,
     random_ns_box,
@@ -55,7 +56,7 @@ from boxcert.twirl import (
     line_transport,
     twirl,
 )
-from boxcert.vertices import broadcast_local_vertices, ns_vertices_2x2
+from boxcert.vertices import broadcast_local_vertices, local_vertices_2x2, ns_vertices_2x2
 
 F = Fraction
 
@@ -391,3 +392,46 @@ class TestPublicBoxStillValidates:
         ok, errors = verify_certificate(data)
         assert ok, errors
         assert box in calls
+
+
+class TestDeferredFractions:
+    """Boxes built without re-validation store only the integer view until ``probs`` is read."""
+
+    def test_trusted_and_validated_boxes_agree(self):
+        for seed in range(6):
+            box = random_box(rng_from_seed(seed), parties=2 + seed % 2)
+            nums, den = box.int_view
+            # an unreduced view: _trusted stores it in least form
+            shape = box.input_arity, box.output_arity
+            trusted = Box._trusted(*shape, [3 * n for n in nums], 3 * den)
+            assert "probs" not in vars(trusted)
+            validated = Box(box.input_arity, box.output_arity, box.probs)
+            assert trusted == validated and validated == trusted
+            assert hash(trusted) == hash(validated)
+            assert trusted.int_view == validated.int_view == (nums, den)
+            assert "probs" not in vars(trusted)
+            assert trusted.probs == validated.probs
+            assert repr(trusted) == repr(validated)
+            assert all(type(p) is Fraction for p in trusted.probs)
+
+    def test_mixture_compares_without_fractions(self):
+        box = b_alpha(F(3, 4))
+        weights = lr_membership(box).weights
+        mixed = mixture(weights, local_vertices_2x2())
+        assert mixed == box
+        assert "probs" not in vars(mixed)
+
+    def test_count_combination_reads_no_fractions(self):
+        a, b = b_alpha(F(7, 8)), mix(F(1, 3), pr_box(0, 0, 0), uniform_box(2))
+        assert "probs" not in vars(a) and "probs" not in vars(b)
+        mixed = count_combination([1, 2], 3, [a, b])
+        assert all("probs" not in vars(x) for x in (a, b, mixed))
+        assert_same_as_validated(mixed)
+
+    def test_not_normalized_reports_the_block_sum(self):
+        last = (F(1, 4), F(1, 4), F(1, 6), F(1, 2))
+        with pytest.raises(NotNormalized) as info:
+            Box((2, 2), (2, 2), (F(1, 4),) * 12 + last)
+        assert info.value.inputs == (1, 1)
+        assert info.value.actual_sum == sum(last) == F(7, 6)
+        assert str(info.value) == "outputs at input (1, 1) sum to 7/6, expected 1"

@@ -564,7 +564,7 @@ class TestHalfspace:
             assert polytope._pyramid_weights(box, 0, 0, 0, points) is None
             assert solve(membership_lp(box, points)).status == "infeasible"
         inside = b_alpha(F(7, 8))
-        draws = [[F(1)] + [F(0)] * 23, inside, *outside]
+        draws = [[64] + [0] * 23, inside, *outside]
         monkeypatch.setattr(polytope, "halfspace_draws", lambda *args: iter(draws))
         report = halfspace_body_equality_check(0, 0, 0, samples=1, seed=0)
         assert not report.all_pass and not report.hull_side_failures
