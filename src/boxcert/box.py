@@ -289,6 +289,13 @@ def are_bits(*values) -> bool:
     return all(isinstance(v, int) and v in (0, 1) for v in values)
 
 
+def parse_bits(text, width: int) -> tuple[int, ...]:
+    """``width`` bits spelled as exactly that many ASCII ``0``/``1`` characters."""
+    if not isinstance(text, str) or len(text) != width or any(c not in "01" for c in text):
+        raise ValueError(f"expected {width} bits, got {text!r}")
+    return tuple(int(c) for c in text)
+
+
 def rst_cache(build):
     """``build(*bits)``, cached; non-bits raise BoxError each call, before 1.0 hits 1's entry."""
     cached = cache(build)

@@ -6,7 +6,8 @@ Schema::
 
 with probs flat in the canonical order (input tuples slowest, output
 tuples fastest) and rationals spelled as decimal-integer strings joined
-by "/".  Readers reject negative or non-normalized tables.
+by "/".  Readers reject negative or non-normalized tables, and JSON
+booleans where integers belong.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ def box_from_dict(data) -> Box:
     inputs = data["inputs"]
     outputs = data["outputs"]
     raw = data["probs"]
-    if not isinstance(parties, int):
+    if type(parties) is not int:
         raise BoxFormatError("parties", "must be an integer")
     for name, lst in (("inputs", inputs), ("outputs", outputs)):
-        if not isinstance(lst, list) or not all(isinstance(v, int) for v in lst):
+        if not isinstance(lst, list) or not all(type(v) is int for v in lst):
             raise BoxFormatError(name, "must be a list of integers")
     if not isinstance(raw, list):
         raise BoxFormatError("probs", "must be a list of rational strings")

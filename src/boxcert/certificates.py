@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 
-from .box import Box, BoxError, b_alpha, marginal
+from .box import Box, BoxError, b_alpha, marginal, parse_bits
 from .boxio import box_from_dict, box_to_dict, load_json, save_json
 from .broadcast import (
     BroadcastInstance,
@@ -239,6 +239,13 @@ def _points_for(box: Box, cut: str):
     raise ValueError(f"unknown cut label {cut!r}")
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON integer; booleans, floats and strings are malformed."""
+    if type(value) is not int:
+        raise TypeError(f"{field} is not a JSON integer: {value!r}")
+    return value
+
+
 def _check_flag(stated, expected: bool, message: str, errors: list[str]) -> bool:
     """A stated flag must be the JSON boolean ``expected``: 0, 1, "no" or null never is."""
     if stated is expected:
@@ -294,7 +301,7 @@ def _check_all_pass(data: dict, errors: list[str]) -> None:
 
 def _verify_hyperplane(data: dict, errors: list[str]) -> None:
     """Each stated point must be its row of the apex's ray table, local by its weights."""
-    rays = _ray_table(*(int(b) for b in data["inputs"]["rst"]))
+    rays = _ray_table(*parse_bits(data["inputs"]["rst"], 3))  # as the CLI reads --rst
     entries = data["result"]["points"]
     if [entry["vertex"] for entry in entries] != [ray.vertex_name for ray in rays]:
         errors.append(f"points are not the {len(rays)} ray points in table order")
@@ -321,8 +328,9 @@ def _verify_hyperplane(data: dict, errors: list[str]) -> None:
 
 def _verify_halfspace(data: dict, errors: list[str]) -> None:
     """Replay the seeded draw stream: the hull rows must match it, the boxes decompose."""
-    r, s, t = (int(b) for b in data["inputs"]["rst"])
-    samples = data["inputs"]["samples"]
+    r, s, t = parse_bits(data["inputs"]["rst"], 3)
+    samples = _json_int(data["inputs"]["samples"], "inputs.samples")
+    seed = _json_int(data["inputs"]["seed"], "inputs.seed")
     hull_rows = data["result"]["hull_weights"]
     half_rows = data["result"]["half_decompositions"]
     if len(hull_rows) != samples:
@@ -331,7 +339,7 @@ def _verify_halfspace(data: dict, errors: list[str]) -> None:
     if len(half_rows) != samples:
         errors.append("halfspace sample count mismatch")
         return
-    draws = halfspace_draws(r, s, t, samples, data["inputs"]["seed"])
+    draws = halfspace_draws(r, s, t, samples, seed)
     for k, (row, counts) in enumerate(zip(hull_rows, islice(draws, samples))):
         stated = [ratio(w) for w in row]
         if len(stated) != len(counts) or any(

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .box import BoxError, is_fully_ns
+from .box import BoxError, is_fully_ns, parse_bits
 from .boxio import box_to_dict, load_box, save_box
 from .broadcast import broadcast_scan, classify_row
 from .certificates import (
@@ -41,9 +41,10 @@ from .twirl import line_decomposition, twirl
 
 
 def _parse_bits(text: str, width: int) -> tuple[int, ...]:
-    if len(text) != width or any(c not in "01" for c in text):
-        raise argparse.ArgumentTypeError(f"expected {width} bits, got {text!r}")
-    return tuple(int(c) for c in text)
+    try:
+        return parse_bits(text, width)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 MAX_GRID_POINTS = 10_000  # each scan row solves an LP; larger grids exit 2 before any is built

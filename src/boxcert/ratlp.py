@@ -25,11 +25,13 @@ negated), the objective is a maximization, and bounds appear as rows
 ``-v <= -lb`` and ``v <= ub``.
 
 Each ``LinearProgram`` builds this view once, as integers: a row is
-``(key, {var: int}, relation, rhs, den)`` with integer ``rhs`` and ``den``
-the least common denominator of the row's coefficients and right-hand
-side, so the row reads ``sum(c/den * v) <relation> rhs/den``.  The solver
-builds its tableau from these rows and ``check_witness`` tests them by
-integer cross-multiplication; neither converts a row back to Fractions.
+``_IntRow(key, {var: int}, relation, rhs, den)`` with integer ``rhs`` and
+``den`` the least common denominator of the row's coefficients and
+right-hand side, so the row reads ``sum(c/den * v) <relation> rhs/den``.
+The solver rewrites these rows over its columns as ``_IntRow``s keyed by
+column index and builds its tableau from them, the two phases' reduced
+costs being two more tableau rows; ``check_witness`` tests the LP's rows
+by integer cross-multiplication.  Neither converts a row back to Fractions.
 Certificate entries must be ``int`` or ``Fraction``; anything else fails.
 
 ``LinearProgram(...)`` and ``Constraint(...)`` validate their input and
@@ -215,10 +217,14 @@ class LPOutcome:
 
 
 class _IntRow(NamedTuple):
-    """``sum(coeffs[v]/den * v) <relation> rhs/den``, with ``den`` least."""
+    """``sum(coeffs[k]/den * x_k) <relation> rhs/den``, with ``den`` least.
+
+    ``coeffs`` is keyed by variable name in an LP's rows and by column
+    index in the canonical rows.
+    """
 
     key: tuple
-    coeffs: dict[str, int]
+    coeffs: dict[str, int] | dict[int, int]
     relation: str  # "<=" or "="
     rhs: int
     den: int
@@ -271,11 +277,7 @@ class _Column:
 class _Canonical:
     columns: list[_Column]
     col_of_var: dict[str, list[int]]
-    rows: list[dict[int, int]]  # sparse integer coeffs over columns
-    rhs: list[int]
-    dens: list[int]  # row i reads rows[i]/dens[i] (relation) rhs[i]/dens[i]
-    relations: list[str]  # "<=" or "=" (pre-negation)
-    keys: list[tuple]  # normalized-row key per canonical row
+    rows: list[_IntRow]  # over columns, keyed as the normalized rows they come from
     cost: dict[int, int]  # canonical (minimization) objective over cost_den
     cost_den: int
 
@@ -297,11 +299,11 @@ def _canonicalize(lp: LinearProgram) -> _Canonical:
             columns.append(_Column(var, "neg", Fraction(0)))
             col_of_var[var] = [len(columns) - 2, len(columns) - 1]
 
-    def substitute(coeffs: dict[str, int], rhs: int, den: int):
+    def substitute(int_row: _IntRow) -> _IntRow:
         # coefficients are nonzero and each variable owns its columns
         row: dict[int, int] = {}
         shift = 0  # constant absorbed into the rhs, in units of 1/den
-        for var, c in coeffs.items():
+        for var, c in int_row.coeffs.items():
             cols = col_of_var[var]
             column = columns[cols[0]]
             if column.kind == "pos":
@@ -311,16 +313,17 @@ def _canonicalize(lp: LinearProgram) -> _Canonical:
             row[cols[0]] = c if column.kind == "shift" else -c
             if column.offset:
                 shift += c * column.offset
+        key, _, relation, rhs, den = int_row
         if not shift:
-            return row, rhs, den
+            return _IntRow(key, row, relation, rhs, den)
         # back over the least common denominator of the shifted row
         adjusted = rhs - shift
         scale = adjusted.denominator
         g = gcd(den * scale, adjusted.numerator, *(v * scale for v in row.values()))
         row = {j: v * scale // g for j, v in row.items()}
-        return row, adjusted.numerator // g, den * scale // g
+        return _IntRow(key, row, relation, adjusted.numerator // g, den * scale // g)
 
-    rows, rhs, dens, relations, keys = [], [], [], [], []
+    rows: list[_IntRow] = []
     seen: set[tuple] = set()
     for int_row in lp.int_rows:
         key = int_row.key
@@ -328,16 +331,12 @@ def _canonicalize(lp: LinearProgram) -> _Canonical:
             continue  # absorbed by the shift substitution
         if key[0] == "ub" and columns[col_of_var[key[1]][0]].kind == "flip":
             continue  # absorbed by the flip substitution
-        row, row_rhs, den = substitute(int_row.coeffs, int_row.rhs, int_row.den)
-        dedup_key = (tuple(sorted(row.items())), int_row.relation, row_rhs, den)
+        row = substitute(int_row)
+        dedup_key = (tuple(sorted(row.coeffs.items())), row.relation, row.rhs, row.den)
         if dedup_key in seen:
             continue
         seen.add(dedup_key)
         rows.append(row)
-        rhs.append(row_rhs)
-        dens.append(den)
-        relations.append(int_row.relation)
-        keys.append(key)
 
     obj, cost_den = _integer_objective(lp)
     cost: dict[int, int] = {}
@@ -348,7 +347,7 @@ def _canonicalize(lp: LinearProgram) -> _Canonical:
         cost[cols[0]] = -c if kind in ("shift", "pos") else c
         if kind == "pos":
             cost[cols[1]] = c  # neg split piece
-    return _Canonical(columns, col_of_var, rows, rhs, dens, relations, keys, cost, cost_den)
+    return _Canonical(columns, col_of_var, rows, cost, cost_den)
 
 
 # ---------------------------------------------------------------------------
@@ -366,50 +365,46 @@ def _reduce_row(row: list[int], den: int) -> tuple[list[int], int]:
 
 
 class _Simplex:
-    """Mutable tableau; one instance per solve call."""
+    """Mutable tableau; one instance per solve call.
+
+    ``rows[:m]`` are the constraint rows, ``rows[m]`` the phase-1 and
+    ``rows[m + 1]`` the phase-2 reduced costs; row i reads
+    ``rows[i]/dens[i]`` and is pivoted while ``active[i]``.
+    """
 
     def __init__(self, canon: _Canonical):
         self.canon = canon
-        n_struct = len(canon.columns)
-        m = len(canon.rows)
-        self.n_struct = n_struct
-        self.m = m
+        self.n_struct = next_col = len(canon.columns)
+        self.m = m = len(canon.rows)
         # column layout: structural | slack (per <= row) | artificial | rhs
-        slack_of_row: dict[int, int] = {}
-        next_col = n_struct
-        for i, rel in enumerate(canon.relations):
-            if rel == "<=":
-                slack_of_row[i] = next_col
+        self.slack_of_row: dict[int, int] = {}
+        for i, crow in enumerate(canon.rows):
+            if crow.relation == "<=":
+                self.slack_of_row[i] = next_col
                 next_col += 1
-        self.slack_of_row = slack_of_row
         self.art_of_row: dict[int, int] = {}
-        art_rows = []
-        for i in range(m):
-            needs_art = canon.relations[i] == "=" or canon.rhs[i] < 0
-            if needs_art:
-                art_rows.append(i)
-        for i in art_rows:
-            self.art_of_row[i] = next_col
-            next_col += 1
+        for i, crow in enumerate(canon.rows):
+            if crow.relation == "=" or crow.rhs < 0:
+                self.art_of_row[i] = next_col
+                next_col += 1
         self.n_cols = next_col
         width = next_col + 1
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
         self.basis: list[int] = []
-        self.active = [True] * m
-        self.sigma = [1] * m  # +1 / -1 row orientation vs. its canonical source
+        self.active = [True] * (m + 2)
+        # +1 / -1 row orientation vs. its canonical source
+        self.sigma = [-1 if crow.rhs < 0 else 1 for crow in canon.rows]
         # phase-1 reduced costs: cost 1 on artificials, so z1 = -(sum of art
         # rows) off the artificial columns and 0 on them, over art_den
-        art_den = lcm(*(canon.dens[i] for i in art_rows))
+        art_den = lcm(*(canon.rows[i].den for i in self.art_of_row))
         z1 = [0] * width
-        for i in range(m):
-            den = canon.dens[i]
-            entries = dict(canon.rows[i])
-            if i in slack_of_row:
-                entries[slack_of_row[i]] = den  # coefficient 1
-            entries[next_col] = canon.rhs[i]
-            if canon.rhs[i] < 0:
-                self.sigma[i] = -1
+        for i, crow in enumerate(canon.rows):
+            den = crow.den
+            entries = dict(crow.coeffs)
+            if i in self.slack_of_row:
+                entries[self.slack_of_row[i]] = den  # coefficient 1
+            entries[next_col] = crow.rhs
             row = [0] * width
             for j, v in entries.items():
                 row[j] = self.sigma[i] * v
@@ -422,15 +417,13 @@ class _Simplex:
                 for j, v in entries.items():
                     z1[j] += scale * v
             else:
-                self.basis.append(slack_of_row[i])
+                self.basis.append(self.slack_of_row[i])
         g = gcd(art_den, *z1)
-        self.z1, self.z1_den = [v // g for v in z1], art_den // g
+        self.rows.append([v // g for v in z1])
+        self.dens.append(art_den // g)
         # phase-2 reduced costs start at the canonical cost vector
-        self.z2 = [0] * width
-        for j, c in canon.cost.items():
-            self.z2[j] = c
-        self.z2_den = canon.cost_den
-        self.cost_rows = ["z1", "z2"]  # reduced-cost rows that pivots update
+        self.rows.append([canon.cost.get(j, 0) for j in range(width)])
+        self.dens.append(canon.cost_den)
         self.art_cols = set(self.art_of_row.values())
         slack_cols = set(self.slack_of_row.values())
         self._lex_order = (
@@ -450,33 +443,19 @@ class _Simplex:
             prow = [-v for v in prow]
             pval = -pval
         prow, dr = _reduce_row(prow, pval)
-        self.rows[r] = prow
-        self.dens[r] = dr
+        self.rows[r], self.dens[r] = prow, dr
         # row_i * dr - f * prow, touching only the pivot row's nonzero columns
         nonzero = [(j, b) for j, b in enumerate(prow) if b]
-        for i in range(self.m):
+        for i, row in enumerate(self.rows):
             if i == r or not self.active[i]:
                 continue
-            f = self.rows[i][c]
+            f = row[c]
             if f == 0:
                 continue
-            new = [a * dr for a in self.rows[i]]
+            new = [a * dr for a in row]
             for j, b in nonzero:
                 new[j] -= f * b
-            new, den = _reduce_row(new, self.dens[i] * dr)
-            self.rows[i] = new
-            self.dens[i] = den
-        for zname in self.cost_rows:
-            zrow = getattr(self, zname)
-            f = zrow[c]
-            if f == 0:
-                continue
-            new = [a * dr for a in zrow]
-            for j, b in nonzero:
-                new[j] -= f * b
-            new, den = _reduce_row(new, getattr(self, zname + "_den") * dr)
-            setattr(self, zname, new)
-            setattr(self, zname + "_den", den)
+            self.rows[i], self.dens[i] = _reduce_row(new, self.dens[i] * dr)
         self.basis[r] = c
         self.pivots += 1
         if self.pivots > _MAX_PIVOTS:
@@ -557,10 +536,9 @@ class _Simplex:
         return winner
 
     def run_phase(self, phase: int) -> str:
-        zname = "z1" if phase == 1 else "z2"
+        z = self.m + phase - 1  # this phase's reduced-cost row
         while True:
-            zrow = getattr(self, zname)
-            c = self._entering(zrow, allow_artificial=(phase == 1))
+            c = self._entering(self.rows[z], allow_artificial=(phase == 1))
             if c is None:
                 return "optimal"
             r = self._leaving(c)
@@ -571,7 +549,7 @@ class _Simplex:
     # -- extraction ---------------------------------------------------------
 
     def phase1_value(self) -> Fraction:
-        return -Fraction(self.z1[self.n_cols], self.z1_den)
+        return -Fraction(self.rows[self.m][self.n_cols], self.dens[self.m])
 
     def drive_out_artificials(self) -> None:
         for i in range(self.m):
@@ -596,26 +574,27 @@ class _Simplex:
                 values[self.basis[i]] = Fraction(self.rows[i][rhs_col], self.dens[i])
         return values
 
-    def multipliers(self, zname: str, art_cost: int) -> dict[tuple, Fraction]:
-        """Nonzero multipliers of the normalized rows, read off the ``zname`` row.
+    def multipliers(self, phase: int) -> dict[tuple, Fraction]:
+        """Nonzero multipliers of the normalized rows, read off a phase's reduced costs.
 
         Canonical row i gets ``sigma_i * (z[col] - art_cost)`` for its
         initial basic column (its artificial, else its slack), in the
-        row's normalized orientation; a shifted or flipped variable's bound
-        row gets its column's reduced cost.  Each is an integer numerator
-        over the ``zname`` row's denominator; one ``Fraction`` is built per
-        nonzero.
+        row's normalized orientation, where ``art_cost`` is the phase's
+        cost on artificials (1 in phase 1, 0 in phase 2); a shifted or
+        flipped variable's bound row gets its column's reduced cost.  Each
+        is an integer numerator over the reduced-cost row's denominator;
+        one ``Fraction`` is built per nonzero.
         """
-        zrow = getattr(self, zname)
-        zden = getattr(self, zname + "_den")
-        base = art_cost * zden
+        z = self.m + phase - 1
+        zrow, zden = self.rows[z], self.dens[z]
+        base = zden if phase == 1 else 0
         canon = self.canon
         y: dict[tuple, Fraction] = {}
-        for i, key in enumerate(canon.keys):
+        for i, crow in enumerate(canon.rows):
             art = self.art_of_row.get(i)
             num = zrow[self.slack_of_row[i]] if art is None else zrow[art] - base
             if num:
-                y[key] = Fraction(num if self.sigma[i] > 0 else -num, zden)
+                y[crow.key] = Fraction(num if self.sigma[i] > 0 else -num, zden)
         for var, cols in canon.col_of_var.items():
             kind = canon.columns[cols[0]].kind
             num = zrow[cols[0]]
@@ -655,8 +634,8 @@ def solve(lp: LinearProgram) -> LPOutcome:
         if status != "optimal":  # phase-1 objective is bounded below by 0
             raise RuntimeError("phase 1 cannot be unbounded")
         if simplex.phase1_value() > 0:
-            return LPOutcome(status="infeasible", farkas=simplex.multipliers("z1", art_cost=1))
-        simplex.cost_rows = ["z2"]  # nothing reads z1 after phase 1
+            return LPOutcome(status="infeasible", farkas=simplex.multipliers(1))
+        simplex.active[simplex.m] = False  # nothing reads the phase-1 row after phase 1
         simplex.drive_out_artificials()
 
     if lp.objective is not None:
@@ -668,7 +647,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     objective_value = sum(
         (c * witness[v] for v, c in lp.objective or ()), Fraction(0)
     )
-    dual = {} if lp.objective is None else simplex.multipliers("z2", art_cost=0)
+    dual = {} if lp.objective is None else simplex.multipliers(2)
     return LPOutcome(
         status="optimal",
         witness=witness,

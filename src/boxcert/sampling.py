@@ -9,13 +9,12 @@ inside the polytope.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
 from .box import Box, count_combination, mix, pr_box
 from .chsh import beta
-from .twirl import RelabelingMixture, RelabelingOp
+from .twirl import RelabelingMixture, RelabelingOp, TwirlChannel
 from .vertices import ns_vertices_2x2
 
 DEFAULT_DENOMINATOR = 64
@@ -97,9 +96,5 @@ def random_relabeling_mixture(rng: random.Random, size: int = 4) -> RelabelingMi
 
 
 def all_relabelings() -> tuple[RelabelingOp, ...]:
-    """The 32 single relabelings (8 member ops for each of the 4 twirls)."""
-    return tuple(
-        RelabelingOp(d, g, th, r, s)
-        for r, s in itertools.product((0, 1), repeat=2)
-        for d, g, th in itertools.product((0, 1), repeat=3)
-    )
+    """The 32 single relabelings: the 8 members of each of the 4 twirls, (r, s) outer."""
+    return tuple(op for r in (0, 1) for s in (0, 1) for op in TwirlChannel(r, s).members)

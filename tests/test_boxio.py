@@ -75,6 +75,20 @@ class TestRejection:
         with pytest.raises(BoxError):
             box_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, data",
+        [
+            # each table is valid once the boolean reads as the integer it equals
+            ("parties", {"parties": True, "inputs": [2], "outputs": [2], "probs": ["1/2"] * 4}),
+            ("inputs", {"parties": 2, "inputs": [True, 2], "outputs": [2, 2], "probs": ["1/4"] * 8}),
+            ("outputs", {"parties": 2, "inputs": [2, 2], "outputs": [2, True], "probs": ["1/2"] * 8}),
+        ],
+    )
+    def test_boolean_arity_rejected(self, field, data):
+        with pytest.raises(BoxFormatError) as err:
+            box_from_dict(data)
+        assert err.value.field == field
+
     def test_wrong_length(self):
         data = box_to_dict(pr_box(0, 0, 0))
         data["probs"] = data["probs"][:-1]

@@ -424,6 +424,44 @@ class TestStatedValuesRechecked:
             ],
         )
 
+    @pytest.mark.parametrize("kind", ["hyperplane", "halfspace"])
+    @pytest.mark.parametrize("rst", [[0, 1, 1], [False, True, True], "\u0660\u0661\u0661"])
+    def test_rst_must_be_three_ascii_bits(self, kind, rst):
+        if kind == "hyperplane":
+            data = hyperplane_certificate(hyperplane_locality_check(0, 1, 1))
+        else:
+            data = halfspace_certificate(halfspace_body_equality_check(0, 1, 1, samples=2, seed=5))
+        data = roundtrip(data)
+        assert data["inputs"]["rst"] == "011"
+        assert verify_certificate(data) == (True, [])
+        data["inputs"]["rst"] = rst
+        ok, errors = verify_certificate(data)
+        assert not ok
+        exc = ValueError(f"expected 3 bits, got {rst!r}")
+        assert errors == [f"malformed certificate: {exc!r}"]
+
+    @pytest.mark.parametrize(
+        "field, seed, value",
+        [
+            ("seed", 1, True),
+            ("seed", 0, False),
+            ("seed", 1, 1.0),
+            ("seed", 1, "1"),
+            ("samples", 5, True),
+            ("samples", 5, 1.0),
+        ],
+    )
+    def test_halfspace_counts_must_be_json_integers(self, field, seed, value):
+        # each stated value equals the true one, so only its type can fail it
+        report = halfspace_body_equality_check(0, 0, 0, samples=1, seed=seed)
+        data = roundtrip(halfspace_certificate(report))
+        assert verify_certificate(data) == (True, [])
+        data["inputs"][field] = value
+        ok, errors = verify_certificate(data)
+        assert not ok
+        exc = TypeError(f"inputs.{field} is not a JSON integer: {value!r}")
+        assert errors == [f"malformed certificate: {exc!r}"]
+
     def test_integer_beta_still_verifies(self):
         data = roundtrip(hyperplane_certificate(hyperplane_locality_check(0, 0, 0)))
         point = data["result"]["points"][0]

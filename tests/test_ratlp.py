@@ -629,9 +629,10 @@ def _pinned_corpus():
 def _initial_tableau(lp):
     """The integer tableau before the first pivot; its row scaling steers tie-breaks."""
     simplex = _Simplex(_canonicalize(lp))
+    rows, dens, m = simplex.rows, simplex.dens, simplex.m
     return (
-        simplex.rows, simplex.dens, simplex.z1, simplex.z1_den,
-        simplex.z2, simplex.z2_den, simplex.sigma, simplex.basis,
+        rows[:m], dens[:m], rows[m], dens[m],
+        rows[m + 1], dens[m + 1], simplex.sigma, simplex.basis,
     )
 
 
