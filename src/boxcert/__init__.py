@@ -60,7 +60,6 @@ from .polytope import (
     MembershipCertificate,
     PreconditionNotMet,
     RayPoint,
-    UnsupportedShape,
     anti_robustness,
     anti_robustness_closed_form,
     halfspace_body_equality_check,

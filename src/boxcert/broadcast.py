@@ -186,7 +186,7 @@ def _validated_projection_lp(instance: BroadcastInstance) -> LinearProgram:
     return LinearProgram(
         variables=_PROJECTION_VARIABLES,
         constraints=constraints,
-        lower={v: F(0) for v in _PROJECTION_VARIABLES},
+        nonnegative=_PROJECTION_VARIABLES,
     )
 
 
@@ -430,7 +430,7 @@ def full_broadcast_lp(instance: BroadcastInstance) -> LinearProgram:
     return LinearProgram(
         variables=w_vars + e_vars,
         constraints=constraints,
-        lower={v: F(0) for v in w_vars},
+        nonnegative=w_vars,
     )
 
 

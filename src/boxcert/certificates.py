@@ -53,10 +53,6 @@ F = Fraction
 FORMAT_VERSION = 1
 
 
-def _frac(value: Fraction) -> str:
-    return format_rational(value)
-
-
 def _key_to_str(key: tuple) -> str:
     return f"{key[0]}:{key[1]}"
 
@@ -65,22 +61,24 @@ def _str_to_key(text: str) -> tuple:
     kind, _, rest = text.partition(":")
     if kind == "con":
         return ("con", int(rest))
-    if kind in ("lb", "ub"):
-        return (kind, rest)
+    if kind == "lb":
+        return ("lb", rest)
     raise ValueError(f"unknown certificate row key {text!r}")
 
 
 def outcome_to_dict(outcome: LPOutcome) -> dict:
     data: dict = {"status": outcome.status}
     if outcome.witness is not None:
-        data["witness"] = {v: _frac(x) for v, x in sorted(outcome.witness.items())}
+        data["witness"] = {v: format_rational(x) for v, x in sorted(outcome.witness.items())}
     if outcome.objective_value is not None:
-        data["objective_value"] = _frac(outcome.objective_value)
+        data["objective_value"] = format_rational(outcome.objective_value)
     if outcome.dual is not None:
-        data["dual"] = {_key_to_str(k): _frac(v) for k, v in sorted(outcome.dual.items())}
+        data["dual"] = {
+            _key_to_str(k): format_rational(v) for k, v in sorted(outcome.dual.items())
+        }
     if outcome.farkas is not None:
         data["farkas"] = {
-            _key_to_str(k): _frac(v) for k, v in sorted(outcome.farkas.items())
+            _key_to_str(k): format_rational(v) for k, v in sorted(outcome.farkas.items())
         }
     return data
 
@@ -116,7 +114,7 @@ def outcome_from_dict(data: dict) -> LPOutcome:
 
 
 def _weights_to_dict(weights: dict[str, Fraction]) -> dict:
-    return {name: _frac(w) for name, w in sorted(weights.items())}
+    return {name: format_rational(w) for name, w in sorted(weights.items())}
 
 
 def _same(stated, value: Fraction) -> bool:
@@ -149,14 +147,14 @@ def membership_certificate(box: Box, cert: MembershipCertificate) -> dict:
         result["weights"] = _weights_to_dict(cert.weights)
     if cert.violated_facets:
         result["violated_facets"] = [
-            {"rst": f"{v.r}{v.s}{v.t}", "value": _frac(v.value)}
+            {"rst": f"{v.r}{v.s}{v.t}", "value": format_rational(v.value)}
             for v in cert.violated_facets
         ]
     return _certificate("membership", _box_inputs(box), result, cert.outcome)
 
 
 def antirobustness_certificate(box: Box, result: AntiRobustnessResult) -> dict:
-    stated = {"value": _frac(result.value), "weights": _weights_to_dict(result.weights)}
+    stated = {"value": format_rational(result.value), "weights": _weights_to_dict(result.weights)}
     return _certificate("antirobustness", _box_inputs(box), stated, result.outcome)
 
 
@@ -164,8 +162,8 @@ def hyperplane_certificate(report: HyperplaneReport) -> dict:
     points = [
         {
             "vertex": check.ray.vertex_name,
-            "p": _frac(check.ray.p),
-            "betas": {f"{v.r}{v.s}{v.t}": _frac(v.value) for v in check.betas},
+            "p": format_rational(check.ray.p),
+            "betas": {f"{v.r}{v.s}{v.t}": format_rational(v.value) for v in check.betas},
             "member": check.membership.member,
             "weights": _weights_to_dict(check.membership.weights or {}),
         }
@@ -184,7 +182,7 @@ def halfspace_certificate(report: HalfspaceReport) -> dict:
         {"rst": "%d%d%d" % report.apex, "samples": report.samples, "seed": report.seed},
         {
             "all_pass": report.all_pass,
-            "hull_weights": [[_frac(w) for w in row] for row in report.hull_weights],
+            "hull_weights": [[format_rational(w) for w in row] for row in report.hull_weights],
             "half_decompositions": [_weights_to_dict(d) for d in report.half_decompositions],
         },
     )
@@ -194,9 +192,9 @@ def scan_certificate(report: ScanReport) -> dict:
     rows = []
     for row in report.rows:
         entry: dict = {
-            "alpha": _frac(row.alpha),
-            "p_alpha": _frac(row.p_alpha),
-            "anti_robustness": _frac(row.anti_robustness),
+            "alpha": format_rational(row.alpha),
+            "p_alpha": format_rational(row.p_alpha),
+            "anti_robustness": format_rational(row.anti_robustness),
             "projection": {
                 "feasible": row.projection.feasible,
                 "outcome": outcome_to_dict(row.projection.outcome),
@@ -213,9 +211,8 @@ def scan_certificate(report: ScanReport) -> dict:
                     row.full.witness["broadcast_copy"]
                 )
         rows.append(entry)
-    return _certificate(
-        "broadcast", {"alphas": [_frac(row.alpha) for row in report.rows]}, {"rows": rows}
-    )
+    alphas = [format_rational(row.alpha) for row in report.rows]
+    return _certificate("broadcast", {"alphas": alphas}, {"rows": rows})
 
 
 def save_certificate(data: dict, path) -> None:
@@ -331,6 +328,10 @@ def _verify_halfspace(data: dict, errors: list[str]) -> None:
     r, s, t = parse_bits(data["inputs"]["rst"], 3)
     samples = _json_int(data["inputs"]["samples"], "inputs.samples")
     seed = _json_int(data["inputs"]["seed"], "inputs.seed")
+    if seed < 0:
+        # random.Random seeds by absolute value: -k would replay the draws of k
+        errors.append("inputs.seed is negative")
+        return
     hull_rows = data["result"]["hull_weights"]
     half_rows = data["result"]["half_decompositions"]
     if len(hull_rows) != samples:

@@ -61,6 +61,17 @@ def _parse_count(text: str) -> int:
     return value
 
 
+def _parse_seed(text: str) -> int:
+    # random.Random seeds by absolute value, so a negative seed would repeat a positive one
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a seed, got {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative seed, got {value}")
+    return value
+
+
 def _parse_grid(text: str) -> list[Fraction]:
     try:
         start_s, end_s, step_s = text.split(":")
@@ -297,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--samples", type=_parse_count, default=0, help="sampled hull checks per side"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0, help="a nonnegative integer")
     p.add_argument("--json")
     p.set_defaults(func=cmd_hyperplane_check)
 

@@ -78,9 +78,6 @@ _ZERO = F(0)
 BROADCAST_CUT = Cut(frozenset({0, 2}), frozenset({1, 3}))
 
 
-UnsupportedShape = WrongShape  # one shape exception; the old name stays importable
-
-
 class PreconditionNotMet(BoxError):
     pass
 
@@ -99,16 +96,16 @@ def _cell_name(outputs, inputs) -> str:
 def _local_vertex_set(box: Box, cut: Cut | None) -> tuple[tuple[str, Box], ...]:
     if box.is_binary_bipartite():
         if cut is not None and cut != Cut(frozenset({0}), frozenset({1})):
-            raise UnsupportedShape(f"unsupported cut {cut} for a 2-party box")
+            raise WrongShape(f"unsupported cut {cut} for a 2-party box")
         return tuple(ns_vertices_2x2()[:16])
     if box.input_arity == (2, 2, 2, 2) and box.output_arity == (2, 2, 2, 2):
         if cut is None or cut != BROADCAST_CUT:
-            raise UnsupportedShape(
+            raise WrongShape(
                 "4-party membership needs the AA'|BB' cut declared "
                 f"(parties {{0,2}}|{{1,3}}), got {cut}"
             )
         return broadcast_local_vertices()
-    raise UnsupportedShape(
+    raise WrongShape(
         f"no local polytope description for arities {box.input_arity}/{box.output_arity}"
     )
 
@@ -165,10 +162,9 @@ def _weight_template(shape, points_key, anti: bool) -> LinearProgram:
         for k, (a, x) in enumerate(cells(*shape))
     ]
     constraints.append(Constraint([(w, 1) for w in weights], "=", 1, name="normalization"))
-    lower = [(w, 0) for w in weights]
     if anti:
-        return LinearProgram(["q"] + weights, constraints, {"q": 1}, "max", [("q", 0)] + lower)
-    return LinearProgram(weights, constraints, lower=lower)
+        return LinearProgram(["q"] + weights, constraints, {"q": 1}, nonnegative=["q"] + weights)
+    return LinearProgram(weights, constraints, nonnegative=weights)
 
 
 def _template(box: Box, points: tuple[tuple[str, Box], ...], anti: bool) -> LinearProgram:
@@ -273,7 +269,7 @@ def anti_robustness(box: Box, cut: Cut | None = None) -> AntiRobustnessResult:
     """
     report = is_fully_ns(box)
     if not report.fully_ns:
-        raise UnsupportedShape("anti-robustness needs a fully non-signalling box")
+        raise WrongShape("anti-robustness needs a fully non-signalling box")
     points = _local_vertex_set(box, cut)
     lp = anti_robustness_lp(box, points)
     if box.is_binary_bipartite() and (peak := _chsh_peak(box)).beta > 2:
@@ -299,7 +295,7 @@ def anti_robustness_closed_form(box: Box) -> Fraction:
     optimum sits at beta(X) = -4.
     """
     if not box.is_binary_bipartite():
-        raise UnsupportedShape("closed form defined for 2-party binary boxes")
+        raise WrongShape("closed form defined for 2-party binary boxes")
     peak = _chsh_peak(box)
     if peak.beta < 2:
         raise PreconditionNotMet(f"max beta {peak.beta} < 2")
@@ -344,7 +340,7 @@ def ray_intersection(r: int, s: int, t: int, vertex: Box) -> RayPoint:
     for name, candidate in ns_vertices_2x2():
         if candidate == vertex:
             return _ray_point(r, s, t, apex, name, vertex)
-    raise UnsupportedShape("vertex is not one of the 24 extremal NS points")
+    raise WrongShape("vertex is not one of the 24 extremal NS points")
 
 
 @rst_cache

@@ -18,20 +18,24 @@ certificate that ``check_witness`` re-verifies by substitution alone:
   bound rows is contradictory (zero combined coefficients, negative
   combined right-hand side in the normalized <=/= view).
 
-Certificate row keys: ``("con", i)`` for constraint i, ``("lb", v)`` /
-``("ub", v)`` for variable bounds.  In the normalized view every
-constraint is written with relation ``<=`` or ``=`` (``>=`` rows are
-negated), the objective is a maximization, and bounds appear as rows
-``-v <= -lb`` and ``v <= ub``.
+Every LP has one form: maximize the objective, or with no objective only
+check feasibility, where each variable named in ``nonnegative`` is bounded
+by ``v >= 0`` and every other variable is free.  Certificate row keys:
+``("con", i)`` for constraint i and ``("lb", v)`` for the bound of a
+nonnegative variable v, written ``con:i`` and ``lb:v`` in a certificate.
+In the normalized view every constraint is written with relation ``<=``
+or ``=`` (``>=`` rows are negated) and each bound is the row ``-v <= 0``.
 
 Each ``LinearProgram`` builds this view once, as integers: a row is
 ``_IntRow(key, {var: int}, relation, rhs, den)`` with integer ``rhs`` and
 ``den`` the least common denominator of the row's coefficients and
 right-hand side, so the row reads ``sum(c/den * v) <relation> rhs/den``.
-The solver rewrites these rows over its columns as ``_IntRow``s keyed by
-column index and builds its tableau from them, the two phases' reduced
-costs being two more tableau rows; ``check_witness`` tests the LP's rows
-by integer cross-multiplication.  Neither converts a row back to Fractions.
+The solver gives each nonnegative variable one column and each free
+variable two (``v = pos - neg``), rewrites the constraint rows over those
+columns as ``_IntRow``s keyed by column index and builds its tableau from
+them, the two phases' reduced costs being two more tableau rows;
+``check_witness`` tests the LP's rows by integer cross-multiplication.
+Neither converts a row back to Fractions.
 Certificate entries must be ``int`` or ``Fraction``; anything else fails.
 
 ``LinearProgram(...)`` and ``Constraint(...)`` validate their input and
@@ -112,21 +116,11 @@ class Constraint:
 class LinearProgram:
     variables: tuple[str, ...]
     constraints: tuple[Constraint, ...]
-    objective: tuple[tuple[str, Fraction], ...] | None
-    sense: str
-    lower: tuple[tuple[str, Fraction], ...]
-    upper: tuple[tuple[str, Fraction], ...]
+    objective: tuple[tuple[str, Fraction], ...] | None  # maximized; None: feasibility only
+    nonnegative: tuple[str, ...]  # sorted; every other variable is free
     int_rows: tuple[_IntRow, ...] = field(init=False, repr=False, compare=False)
 
-    def __init__(
-        self,
-        variables,
-        constraints,
-        objective=None,
-        sense="max",
-        lower=None,
-        upper=None,
-    ):
+    def __init__(self, variables, constraints, objective=None, nonnegative=()):
         variables = tuple(str(v) for v in variables)
         if not variables:
             raise MalformedLP("no variables")
@@ -140,42 +134,22 @@ class LinearProgram:
             for var, _ in con.coeffs:
                 if var not in known:
                     raise MalformedLP(f"constraint uses unknown variable {var!r}")
-        if sense not in ("max", "min"):
-            raise MalformedLP(f"sense must be 'max' or 'min', got {sense!r}")
         obj = None if objective is None else _terms(objective)
         if obj is not None:
             for var, _ in obj:
                 if var not in known:
                     raise MalformedLP(f"objective uses unknown variable {var!r}")
-
-        def bound_terms(bounds):
-            if bounds is None:
-                return ()
-            items = bounds.items() if isinstance(bounds, dict) else list(bounds)
-            out = []
-            for var, value in items:
-                var = str(var)
-                if var not in known:
-                    raise MalformedLP(f"bound on unknown variable {var!r}")
-                out.append((var, as_fraction(value)))
-            out.sort(key=lambda kv: kv[0])
-            if len({v for v, _ in out}) != len(out):
-                raise MalformedLP("duplicate bound")
-            return tuple(out)
-
-        lower = bound_terms(lower)
-        upper = bound_terms(upper)
-        lo_map, hi_map = dict(lower), dict(upper)
-        for var in lo_map.keys() & hi_map.keys():
-            if lo_map[var] > hi_map[var]:
-                raise MalformedLP(f"lower bound above upper bound for {var!r}")
+        nonnegative = tuple(sorted(str(v) for v in nonnegative))
+        for var in nonnegative:
+            if var not in known:
+                raise MalformedLP(f"bound on unknown variable {var!r}")
+        if len(set(nonnegative)) != len(nonnegative):
+            raise MalformedLP("duplicate bound")
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "sense", sense)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "int_rows", _integer_rows(constraints, lower, upper))
+        object.__setattr__(self, "nonnegative", nonnegative)
+        object.__setattr__(self, "int_rows", _integer_rows(constraints, nonnegative))
 
     def _patched(self, rows) -> LinearProgram:
         """This LP with constraint k replaced by ``rows[k] = (terms, relation, rhs)``.
@@ -195,9 +169,7 @@ class LinearProgram:
         object.__setattr__(lp, "variables", self.variables)
         object.__setattr__(lp, "constraints", tuple(constraints))
         object.__setattr__(lp, "objective", self.objective)
-        object.__setattr__(lp, "sense", self.sense)
-        object.__setattr__(lp, "lower", self.lower)
-        object.__setattr__(lp, "upper", self.upper)
+        object.__setattr__(lp, "nonnegative", self.nonnegative)
         object.__setattr__(lp, "int_rows", tuple(int_rows))
         return lp
 
@@ -240,97 +212,63 @@ def _integer_row(i: int, con: Constraint) -> _IntRow:
     return _IntRow(("con", i), coeffs, relation, rhs.numerator * scale // rhs.denominator, den)
 
 
-def _integer_rows(constraints, lower, upper) -> tuple[_IntRow, ...]:
-    """Constraints (>= negated to <=) followed by lb/ub bound rows."""
+def _integer_rows(constraints, nonnegative) -> tuple[_IntRow, ...]:
+    """Constraints (>= negated to <=) followed by the bound rows ``-v <= 0``."""
     rows = [_integer_row(i, con) for i, con in enumerate(constraints)]
-    for var, lo in lower:
-        q = lo.denominator
-        rows.append(_IntRow(("lb", var), {var: -q}, "<=", -lo.numerator, q))
-    for var, hi in upper:
-        q = hi.denominator
-        rows.append(_IntRow(("ub", var), {var: q}, "<=", hi.numerator, q))
+    rows.extend(_IntRow(("lb", var), {var: -1}, "<=", 0, 1) for var in nonnegative)
     return tuple(rows)
 
 
 def _integer_objective(lp: LinearProgram) -> tuple[dict[str, int], int]:
-    """Objective as a maximization, numerators over their least common denominator."""
+    """Objective numerators over their least common denominator."""
     if lp.objective is None:
         return {}, 1
     den = lcm(*[c.denominator for _, c in lp.objective])
-    scale = -den if lp.sense == "min" else den
-    return {var: c.numerator * scale // c.denominator for var, c in lp.objective}, den
+    return {var: c.numerator * den // c.denominator for var, c in lp.objective}, den
 
 
 # ---------------------------------------------------------------------------
-# Canonicalization: bounded variables -> nonnegative columns.
+# Canonicalization: variables -> nonnegative columns.
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Column:
-    var: str
-    kind: str  # "shift" (x = lo + u), "flip" (x = hi - u), "pos", "neg"
-    offset: Fraction  # lo for shift, hi for flip, 0 otherwise
 
 
 @dataclass
 class _Canonical:
-    columns: list[_Column]
-    col_of_var: dict[str, list[int]]
+    n_cols: int
+    col_of_var: dict[str, tuple[int, ...]]  # (col,) if nonnegative, (pos, neg) if free
     rows: list[_IntRow]  # over columns, keyed as the normalized rows they come from
     cost: dict[int, int]  # canonical (minimization) objective over cost_den
     cost_den: int
 
 
 def _canonicalize(lp: LinearProgram) -> _Canonical:
-    lo_map, hi_map = dict(lp.lower), dict(lp.upper)
-    columns: list[_Column] = []
-    col_of_var: dict[str, list[int]] = {}
+    nonnegative = set(lp.nonnegative)
+    col_of_var: dict[str, tuple[int, ...]] = {}
+    n_cols = 0
     for var in lp.variables:
-        lo, hi = lo_map.get(var), hi_map.get(var)
-        if lo is not None:
-            columns.append(_Column(var, "shift", lo))
-            col_of_var[var] = [len(columns) - 1]
-        elif hi is not None:
-            columns.append(_Column(var, "flip", hi))
-            col_of_var[var] = [len(columns) - 1]
+        if var in nonnegative:
+            col_of_var[var] = (n_cols,)
+            n_cols += 1
         else:
-            columns.append(_Column(var, "pos", Fraction(0)))
-            columns.append(_Column(var, "neg", Fraction(0)))
-            col_of_var[var] = [len(columns) - 2, len(columns) - 1]
+            col_of_var[var] = (n_cols, n_cols + 1)
+            n_cols += 2
 
     def substitute(int_row: _IntRow) -> _IntRow:
         # coefficients are nonzero and each variable owns its columns
         row: dict[int, int] = {}
-        shift = 0  # constant absorbed into the rhs, in units of 1/den
         for var, c in int_row.coeffs.items():
             cols = col_of_var[var]
-            column = columns[cols[0]]
-            if column.kind == "pos":
-                row[cols[0]] = c
+            row[cols[0]] = c
+            if len(cols) == 2:
                 row[cols[1]] = -c
-                continue
-            row[cols[0]] = c if column.kind == "shift" else -c
-            if column.offset:
-                shift += c * column.offset
         key, _, relation, rhs, den = int_row
-        if not shift:
-            return _IntRow(key, row, relation, rhs, den)
-        # back over the least common denominator of the shifted row
-        adjusted = rhs - shift
-        scale = adjusted.denominator
-        g = gcd(den * scale, adjusted.numerator, *(v * scale for v in row.values()))
-        row = {j: v * scale // g for j, v in row.items()}
-        return _IntRow(key, row, relation, adjusted.numerator // g, den * scale // g)
+        return _IntRow(key, row, relation, rhs, den)
 
     rows: list[_IntRow] = []
     seen: set[tuple] = set()
     for int_row in lp.int_rows:
-        key = int_row.key
-        if key[0] == "lb":
-            continue  # absorbed by the shift substitution
-        if key[0] == "ub" and columns[col_of_var[key[1]][0]].kind == "flip":
-            continue  # absorbed by the flip substitution
+        if int_row.key[0] == "lb":
+            continue  # a nonnegative column carries its bound
         row = substitute(int_row)
         dedup_key = (tuple(sorted(row.coeffs.items())), row.relation, row.rhs, row.den)
         if dedup_key in seen:
@@ -343,11 +281,10 @@ def _canonicalize(lp: LinearProgram) -> _Canonical:
     for var, c in obj.items():
         # canonical problem minimizes; max obj contributes -c per column unit
         cols = col_of_var[var]
-        kind = columns[cols[0]].kind
-        cost[cols[0]] = -c if kind in ("shift", "pos") else c
-        if kind == "pos":
+        cost[cols[0]] = -c
+        if len(cols) == 2:
             cost[cols[1]] = c  # neg split piece
-    return _Canonical(columns, col_of_var, rows, cost, cost_den)
+    return _Canonical(n_cols, col_of_var, rows, cost, cost_den)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +311,7 @@ class _Simplex:
 
     def __init__(self, canon: _Canonical):
         self.canon = canon
-        self.n_struct = next_col = len(canon.columns)
+        self.n_struct = next_col = canon.n_cols
         self.m = m = len(canon.rows)
         # column layout: structural | slack (per <= row) | artificial | rhs
         self.slack_of_row: dict[int, int] = {}
@@ -580,26 +517,24 @@ class _Simplex:
         Canonical row i gets ``sigma_i * (z[col] - art_cost)`` for its
         initial basic column (its artificial, else its slack), in the
         row's normalized orientation, where ``art_cost`` is the phase's
-        cost on artificials (1 in phase 1, 0 in phase 2); a shifted or
-        flipped variable's bound row gets its column's reduced cost.  Each
+        cost on artificials (1 in phase 1, 0 in phase 2); a nonnegative
+        variable's bound row gets its column's reduced cost.  Each
         is an integer numerator over the reduced-cost row's denominator;
         one ``Fraction`` is built per nonzero.
         """
         z = self.m + phase - 1
         zrow, zden = self.rows[z], self.dens[z]
         base = zden if phase == 1 else 0
-        canon = self.canon
         y: dict[tuple, Fraction] = {}
-        for i, crow in enumerate(canon.rows):
+        for i, crow in enumerate(self.canon.rows):
             art = self.art_of_row.get(i)
             num = zrow[self.slack_of_row[i]] if art is None else zrow[art] - base
             if num:
                 y[crow.key] = Fraction(num if self.sigma[i] > 0 else -num, zden)
-        for var, cols in canon.col_of_var.items():
-            kind = canon.columns[cols[0]].kind
+        for var, cols in self.canon.col_of_var.items():
             num = zrow[cols[0]]
-            if num and kind in ("shift", "flip"):
-                y[("lb" if kind == "shift" else "ub", var)] = Fraction(num, zden)
+            if num and len(cols) == 1:
+                y[("lb", var)] = Fraction(num, zden)
         return y
 
 
@@ -611,14 +546,8 @@ class _Simplex:
 def _witness_from_columns(canon: _Canonical, values: dict[int, Fraction]) -> dict[str, Fraction]:
     witness = {}
     for var, cols in canon.col_of_var.items():
-        column = canon.columns[cols[0]]
         value = values.get(cols[0], _ZERO)
-        if column.kind == "shift":
-            witness[var] = column.offset + value if column.offset else value
-        elif column.kind == "flip":
-            witness[var] = column.offset - value
-        else:
-            witness[var] = value - values.get(cols[1], _ZERO)
+        witness[var] = value if len(cols) == 1 else value - values.get(cols[1], _ZERO)
     return witness
 
 
@@ -714,8 +643,7 @@ def check_witness(lp: LinearProgram, outcome: LPOutcome) -> bool:
                     return False
             obj, obj_den = _integer_objective(lp)
             primal = sum(c * point[v] for v, c in obj.items())  # over obj_den * scale
-            sign = -1 if lp.sense == "min" else 1
-            if outcome.objective_value * (obj_den * scale) != sign * primal:
+            if outcome.objective_value * (obj_den * scale) != primal:
                 return False
             if outcome.dual is None:
                 return False
@@ -752,14 +680,11 @@ def dump_lp(lp: LinearProgram) -> str:
     if lp.objective is None:
         lines.append("feasibility")
     else:
-        lines.append(f"{lp.sense}: {form(lp.objective)}")
+        lines.append(f"max: {form(lp.objective)}")
     for i, con in enumerate(lp.constraints):
         label = con.name or f"con{i}"
         lines.append(
             f"{label}: {form(con.coeffs)} {con.relation} {format_rational_short(con.rhs)}"
         )
-    for var, lo in lp.lower:
-        lines.append(f"bound: {var} >= {format_rational_short(lo)}")
-    for var, hi in lp.upper:
-        lines.append(f"bound: {var} <= {format_rational_short(hi)}")
+    lines.extend(f"bound: {var} >= 0" for var in lp.nonnegative)
     return "\n".join(lines) + "\n"

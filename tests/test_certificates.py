@@ -10,6 +10,7 @@ import pytest
 
 from boxcert.box import b_alpha, pr_box, tensor
 from boxcert.broadcast import ScanReport, broadcast_scan
+from boxcert.cli import main
 from boxcert.certificates import (
     antirobustness_certificate,
     halfspace_certificate,
@@ -274,6 +275,34 @@ class TestMalformedInputsRejected:
         assert builds == []
 
 
+class TestRenamedRowKeys:
+    """A dual or Farkas key that names no row of the rebuilt LP fails verify-cert."""
+
+    @staticmethod
+    def certificate(kind):
+        if kind == "dual":  # non-local: the CHSH facet's dual, bound rows included
+            box = b_alpha(F(7, 8))
+            return roundtrip(antirobustness_certificate(box, anti_robustness(box)))
+        box = pr_box(0, 0, 0)  # the CHSH facet's Farkas vector, bound rows included
+        return roundtrip(membership_certificate(box, lr_membership(box)))
+
+    @pytest.mark.parametrize("kind", ["dual", "farkas"])
+    @pytest.mark.parametrize("renamed", ["ub:<same var>", "xx:0"])
+    def test_renamed_key_exits_one(self, kind, renamed, tmp_path, capsys):
+        data = self.certificate(kind)
+        rows = data["outcome"][kind]
+        key = next(k for k in rows if k.startswith("lb:"))
+        new = "ub:" + key[3:] if renamed.startswith("ub:") else renamed
+        data["outcome"][kind] = {new if k == key else k: v for k, v in rows.items()}
+        assert verify_certificate(data)[0] is False
+        path = tmp_path / "renamed.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify-cert", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "FAILED" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestCutLabel:
     def test_four_party_membership_certificate_verifies(self):
         k = b_alpha(F(3, 4))
@@ -461,6 +490,14 @@ class TestStatedValuesRechecked:
         assert not ok
         exc = TypeError(f"inputs.{field} is not a JSON integer: {value!r}")
         assert errors == [f"malformed certificate: {exc!r}"]
+
+    def test_halfspace_negative_seed_rejected(self):
+        # random.Random seeds by absolute value: seed -5 replays the draws of seed 5
+        report = halfspace_body_equality_check(0, 0, 0, samples=2, seed=5)
+        data = roundtrip(halfspace_certificate(report))
+        assert verify_certificate(data) == (True, [])
+        data["inputs"]["seed"] = -5
+        assert verify_certificate(data) == (False, ["inputs.seed is negative"])
 
     def test_integer_beta_still_verifies(self):
         data = roundtrip(hyperplane_certificate(hyperplane_locality_check(0, 0, 0)))

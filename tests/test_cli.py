@@ -188,6 +188,19 @@ class TestHyperplane:
         assert exc.value.code == 2
         assert "--samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-5", "-1", "5.0", "x"])
+    def test_seed_not_a_nonnegative_integer_exits_two(self, seed, capsys):
+        # random.Random seeds by absolute value, so --seed -5 drew the samples of --seed 5
+        argv = ["hyperplane-check", "--rst", "000", "--samples", "1", "--seed", seed]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1 and "--seed" in captured.err
+
+    def test_seed_has_no_upper_cap(self):
+        args = build_parser().parse_args(["hyperplane-check", "--seed", "12345678901234567890"])
+        assert args.seed == 12345678901234567890
+
     def test_samples_at_the_cap_parse(self):
         args = build_parser().parse_args(["hyperplane-check", "--samples", str(cli.MAX_SAMPLES)])
         assert args.samples == cli.MAX_SAMPLES

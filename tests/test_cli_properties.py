@@ -114,7 +114,7 @@ _OPTIONS = {
     "--rst": st.sampled_from(("000", "011", "101", "111")),
     "--rs": st.sampled_from(("00", "01", "10", "11")),
     "--samples": _COUNTS,
-    "--seed": _COUNTS | st.sampled_from(("-5", "12345678901234567890")),
+    "--seed": _COUNTS | st.just("12345678901234567890"),
     "--alpha": st.sampled_from(("13/16", "4/5", "3/4", "25/32", "7/8", "1")),
     "--alpha-grid": _GRIDS,
     "--method": st.sampled_from(("lp", "formula")),
@@ -124,7 +124,7 @@ _BAD_VALUES = {
     "--rst": st.sampled_from(("01", "0a1", "", "1111")),
     "--rs": st.sampled_from(("0", "2x", "")),
     "--samples": _BAD_COUNTS,
-    "--seed": _BAD_COUNTS,
+    "--seed": _BAD_COUNTS | st.just("-5"),
     "--alpha": st.sampled_from(("1/0", "x", "-1/2", "1/2", "3/2", "0.5")),
     "--alpha-grid": st.sampled_from(_BAD_GRIDS),
     "--method": st.just("simplex"),

@@ -7,6 +7,7 @@ import pytest
 
 from boxcert.box import (
     BoxError,
+    WrongShape,
     b_alpha,
     chsh_game,
     convex_combination,
@@ -25,7 +26,6 @@ from boxcert.polytope import (
     BROADCAST_CUT,
     DegenerateRay,
     PreconditionNotMet,
-    UnsupportedShape,
     anti_robustness,
     anti_robustness_closed_form,
     anti_robustness_lp,
@@ -121,11 +121,11 @@ class TestMembership:
 
     def test_four_party_requires_declared_cut(self):
         k = b_alpha(F(3, 4))
-        with pytest.raises(UnsupportedShape):
+        with pytest.raises(WrongShape):
             lr_membership(tensor(k, k))
 
     def test_unsupported_shape(self):
-        with pytest.raises(UnsupportedShape):
+        with pytest.raises(WrongShape):
             lr_membership(uniform_box(3))
 
     def test_deterministic_vertices_are_members(self):
@@ -208,7 +208,7 @@ class TestAntiRobustness:
         for x, y, a, b in itertools.product((0, 1), repeat=4):
             entries[((a, b), (x, y))] = F(1) if (a == y and b == 0) else F(0)
         signalling = boxmod.make_box(2, (2, 2), (2, 2), entries)
-        with pytest.raises(UnsupportedShape):
+        with pytest.raises(WrongShape):
             anti_robustness(signalling)
 
 
@@ -260,7 +260,7 @@ class TestRayIntersection:
             ray_intersection(0, 0, 0, pr_box(0, 0, 0))
 
     def test_unknown_vertex(self):
-        with pytest.raises(UnsupportedShape):
+        with pytest.raises(WrongShape):
             ray_intersection(0, 0, 0, uniform_box(2))
 
 
@@ -632,12 +632,11 @@ def reference_weight_lp(box, points, anti):
         else:
             constraints.append(Constraint(coeffs, "=", p, name=name))
     constraints.append(Constraint({w: 1 for w in weights}, "=", 1, name="normalization"))
-    lower = {w: 0 for w in weights}
     if anti:
         return LinearProgram(
-            ["q"] + weights, constraints, objective={"q": 1}, sense="max", lower={"q": 0, **lower}
+            ["q"] + weights, constraints, objective={"q": 1}, nonnegative=["q"] + weights
         )
-    return LinearProgram(weights, constraints, lower=lower)
+    return LinearProgram(weights, constraints, nonnegative=weights)
 
 
 class TestWeightTemplates:

@@ -30,7 +30,6 @@ def lp_single_bound():
         variables=["q"],
         constraints=[Constraint({"q": 1}, "<=", F(3, 4))],
         objective={"q": 1},
-        sense="max",
     )
 
 
@@ -64,27 +63,30 @@ class TestBasics:
         assert y0 is not None and y1 is not None
         assert y0 == y1 and y0 > 0
 
-    def test_min_sense(self):
+    def test_minimization_as_negated_maximization(self):
+        # min 3x + y is max -3x - y
         lp = LinearProgram(
             variables=["x", "y"],
             constraints=[Constraint({"x": 1, "y": 1}, ">=", 2)],
-            objective={"x": 3, "y": 1},
-            sense="min",
-            lower={"x": 0, "y": 0},
+            objective={"x": -3, "y": -1},
+            nonnegative=["x", "y"],
         )
         out = solve(lp)
         assert out.status == "optimal"
-        assert out.objective_value == 2  # all weight on y
+        assert out.objective_value == -2  # all weight on y
         assert check_witness(lp, out)
 
-    def test_equality_and_double_bounds(self):
+    def test_equality_and_bounds_as_rows(self):
         lp = LinearProgram(
             variables=["x", "y"],
-            constraints=[Constraint({"x": 1, "y": 2}, "=", F(5, 2))],
+            constraints=[
+                Constraint({"x": 1, "y": 2}, "=", F(5, 2)),
+                Constraint({"y": 1}, ">=", F(1, 4)),
+                Constraint({"x": 1}, "<=", 2),
+                Constraint({"y": 1}, "<=", 3),
+            ],
             objective={"x": 1, "y": -1},
-            sense="max",
-            lower={"x": 0, "y": F(1, 4)},
-            upper={"x": 2, "y": 3},
+            nonnegative=["x", "y"],
         )
         out = solve(lp)
         assert out.status == "optimal"
@@ -96,12 +98,12 @@ class TestBasics:
         lp = LinearProgram(
             variables=["x"],
             constraints=[Constraint({"x": 1}, ">=", -5)],
-            objective={"x": 1},
-            sense="min",
+            objective={"x": -1},
         )
         out = solve(lp)
         assert out.status == "optimal"
         assert out.witness["x"] == -5
+        assert out.objective_value == 5
         assert check_witness(lp, out)
 
     def test_unbounded(self):
@@ -109,7 +111,6 @@ class TestBasics:
             variables=["x"],
             constraints=[Constraint({"x": 1}, ">=", 0)],
             objective={"x": 1},
-            sense="max",
         )
         out = solve(lp)
         assert out.status == "unbounded"
@@ -122,7 +123,7 @@ class TestBasics:
                 Constraint({"x": 1, "y": 1}, "=", 1),
                 Constraint({"x": 1, "y": -1}, "<=", F(1, 2)),
             ],
-            lower={"x": 0, "y": 0},
+            nonnegative=["x", "y"],
         )
         out = solve(lp)
         assert out.status == "optimal"
@@ -137,7 +138,6 @@ class TestBasics:
                 Constraint({"x": 1}, "<=", 1),
             ],
             objective={"x": 1},
-            sense="max",
         )
         out = solve(lp)
         assert out.objective_value == 1
@@ -160,14 +160,15 @@ class TestMalformed:
         with pytest.raises(MalformedLP):
             Constraint({"x": 1}, "<", 1)
 
-    def test_crossing_bounds(self):
-        with pytest.raises(MalformedLP):
-            LinearProgram(
-                variables=["x"],
-                constraints=[],
-                lower={"x": 2},
-                upper={"x": 1},
-            )
+    def test_nonnegative_names_unknown_or_repeated_variable(self):
+        for nonnegative in (["z"], ["x", "x"]):
+            with pytest.raises(MalformedLP):
+                LinearProgram(variables=["x"], constraints=[], nonnegative=nonnegative)
+
+    def test_nonnegative_stored_sorted(self):
+        lp = LinearProgram(variables=["y", "x", "z"], constraints=[], nonnegative=["z", "x"])
+        assert lp.nonnegative == ("x", "z")
+        assert [row.key for row in lp.int_rows] == [("lb", "x"), ("lb", "z")]
 
     def test_duplicate_variables(self):
         with pytest.raises(MalformedLP):
@@ -189,8 +190,7 @@ class TestDegenerate:
                 Constraint({"x3": 1}, "<=", 1),
             ],
             objective={"x1": F(3, 4), "x2": -150, "x3": F(1, 50), "x4": -6},
-            sense="max",
-            lower={"x1": 0, "x2": 0, "x3": 0, "x4": 0},
+            nonnegative=["x1", "x2", "x3", "x4"],
         )
         out = solve(lp)
         assert out.status == "optimal"
@@ -206,8 +206,7 @@ class TestDegenerate:
                 Constraint({"x": 3, "y": 3}, "=", 3),
             ],
             objective={"x": 1},
-            sense="max",
-            lower={"x": 0, "y": 0},
+            nonnegative=["x", "y"],
         )
         out = solve(lp)
         assert out.status == "optimal"
@@ -216,7 +215,7 @@ class TestDegenerate:
 
 
 def random_primal_dual_pair(rng, n_vars, n_cons):
-    """Feasible bounded primal min c.x s.t. Ax >= b, x >= 0 and its dual."""
+    """Feasible bounded primal min c.x s.t. Ax >= b, x >= 0, as max -c.x, and its dual."""
     A = [[F(rng.randint(-4, 6)) for _ in range(n_vars)] for _ in range(n_cons)]
     x0 = [F(rng.randint(0, 5)) for _ in range(n_vars)]
     b = [sum(A[i][j] * x0[j] for j in range(n_vars)) for i in range(n_cons)]
@@ -229,9 +228,8 @@ def random_primal_dual_pair(rng, n_vars, n_cons):
             Constraint({xs[j]: A[i][j] for j in range(n_vars)}, ">=", b[i])
             for i in range(n_cons)
         ],
-        objective={xs[j]: c[j] for j in range(n_vars)},
-        sense="min",
-        lower={v: 0 for v in xs},
+        objective={xs[j]: -c[j] for j in range(n_vars)},
+        nonnegative=xs,
     )
     dual = LinearProgram(
         variables=ys,
@@ -240,16 +238,13 @@ def random_primal_dual_pair(rng, n_vars, n_cons):
             for j in range(n_vars)
         ],
         objective={ys[i]: b[i] for i in range(n_cons)},
-        sense="max",
-        lower={v: 0 for v in ys},
+        nonnegative=ys,
     )
     return primal, dual
 
 
 class TestDuality:
     def test_fifty_random_primal_dual_pairs(self):
-        import random
-
         rng = random.Random(30)
         for _ in range(50):
             primal, dual = random_primal_dual_pair(
@@ -261,7 +256,7 @@ class TestDuality:
             d_out = solve(dual)
             assert d_out.status == "optimal"
             assert check_witness(dual, d_out)
-            assert p_out.objective_value == d_out.objective_value
+            assert p_out.objective_value == -d_out.objective_value
 
 
 class TestWitnessChecking:
@@ -324,8 +319,7 @@ class TestWitnessChecking:
             variables=["x", "y"],
             constraints=[Constraint({"x": 1}, "<=", 1), Constraint({"y": 1}, "<=", 0)],
             objective={"x": 1, "y": 1},
-            sense="max",
-            lower={"x": 0, "y": 0},
+            nonnegative=["x", "y"],
         )
         out = solve(lp)
         assert out.status == "optimal" and out.objective_value == 1
@@ -378,23 +372,21 @@ class TestWitnessChecking:
                 assert not check_witness(contradiction, type(out)("infeasible", farkas=bad))
 
 
-def random_bounded_lp(rng, n_vars, n_cons):
-    """Feasible bounded LP mixing shifted, flipped and free variables.
+def random_nonnegative_free_lp(rng, n_vars, n_cons):
+    """Feasible bounded LP mixing nonnegative and free variables.
 
-    Variable j has a nonzero lower bound (``lb`` or ``lb+ub``), only an
-    upper bound, or no bound; every variable is also boxed by constraint
-    rows, so the optimum exists.  Returns the LP, its feasible point and
-    the kind of each variable.
+    Even-numbered variables are nonnegative and odd-numbered ones free;
+    every variable is also boxed by constraint rows, so the optimum exists.
+    Returns the LP, its feasible point and the kind of each variable.
     """
     xs = [f"x{j}" for j in range(n_vars)]
-    x0 = {v: F(rng.randint(-6, 6), rng.randint(1, 3)) for v in xs}
-    kinds = [("lb", "lb+ub", "ub", "free")[j % 4] for j in range(n_vars)]
-    lower, upper, constraints = {}, {}, []
-    for v, kind in zip(xs, kinds):
-        if kind in ("lb", "lb+ub"):
-            lower[v] = x0[v] - rng.randint(1, 3)
-        if kind in ("lb+ub", "ub"):
-            upper[v] = x0[v] + F(rng.randint(0, 4), 2)
+    kinds = [("nonnegative", "free")[j % 2] for j in range(n_vars)]
+    x0 = {
+        v: F(rng.randint(0 if kind == "nonnegative" else -6, 6), rng.randint(1, 3))
+        for v, kind in zip(xs, kinds)
+    }
+    constraints = []
+    for v in xs:
         constraints.append(Constraint({v: 1}, "<=", x0[v] + 7))
         constraints.append(Constraint({v: 1}, ">=", x0[v] - 7))
     for _ in range(n_cons):
@@ -408,49 +400,39 @@ def random_bounded_lp(rng, n_vars, n_cons):
         variables=xs,
         constraints=constraints,
         objective={v: rng.randint(-4, 4) for v in xs},
-        sense=rng.choice(("max", "min")),
-        lower=lower,
-        upper=upper,
+        nonnegative=[v for v, kind in zip(xs, kinds) if kind == "nonnegative"],
     )
     return lp, x0, kinds
 
 
 class TestBoundKinds:
-    def test_random_lps_with_shifted_flipped_and_free_variables(self):
-        import random
-
+    def test_random_lps_with_nonnegative_and_free_variables(self):
         rng = random.Random(11)
         for _ in range(40):
-            lp, x0, kinds = random_bounded_lp(rng, rng.randint(4, 7), rng.randint(1, 4))
-            assert any(lo != 0 for _, lo in lp.lower)
-            assert {"lb", "ub", "free"} <= set(kinds)
+            lp, x0, kinds = random_nonnegative_free_lp(rng, rng.randint(4, 7), rng.randint(1, 4))
+            assert set(kinds) == {"nonnegative", "free"}
             out = solve(lp)
             assert out.status == "optimal"
             assert check_witness(lp, out)
-            if lp.sense == "max":
-                assert out.objective_value >= sum(c * x0[v] for v, c in lp.objective)
-            else:
-                assert out.objective_value <= sum(c * x0[v] for v, c in lp.objective)
+            assert all(out.witness[v] >= 0 for v in lp.nonnegative)
+            assert out.objective_value >= sum(c * x0[v] for v, c in lp.objective)
 
     def test_contradicted_bounds_give_checked_farkas(self):
-        import random
-
         rng = random.Random(12)
         for _ in range(20):
-            lp, _, _ = random_bounded_lp(rng, rng.randint(4, 7), rng.randint(1, 4))
-            lo_var, lo = lp.lower[rng.randrange(len(lp.lower))]
-            hi_var, hi = lp.upper[rng.randrange(len(lp.upper))]
+            lp, x0, kinds = random_nonnegative_free_lp(rng, rng.randint(4, 7), rng.randint(1, 4))
+            free = [v for v, kind in zip(lp.variables, kinds) if kind == "free"]
+            nonneg_var = lp.nonnegative[rng.randrange(len(lp.nonnegative))]
+            free_var = free[rng.randrange(len(free))]
             for extra in (
-                Constraint({lo_var: 1}, "<=", lo - F(1, 3)),
-                Constraint({hi_var: 1}, ">=", hi + F(1, 3)),
+                Constraint({nonneg_var: 1}, "<=", F(-1, 3)),
+                Constraint({free_var: 1}, ">=", x0[free_var] + 7 + F(1, 3)),
             ):
                 bad = LinearProgram(
                     variables=lp.variables,
                     constraints=list(lp.constraints) + [extra],
                     objective=dict(lp.objective),
-                    sense=lp.sense,
-                    lower=dict(lp.lower),
-                    upper=dict(lp.upper),
+                    nonnegative=lp.nonnegative,
                 )
                 out = solve(bad)
                 assert out.status == "infeasible"
@@ -466,9 +448,7 @@ def patched_reference(lp, rows):
         lp.variables,
         constraints,
         None if lp.objective is None else dict(lp.objective),
-        lp.sense,
-        dict(lp.lower),
-        dict(lp.upper),
+        lp.nonnegative,
     )
 
 
@@ -495,8 +475,7 @@ class TestPatched:
         assert repr(solve(patched)) == repr(solve(ref))
 
     @pytest.mark.parametrize("objective", [None, {"x": F(2, 3), "z": -1}])
-    @pytest.mark.parametrize("sense", ["max", "min"])
-    def test_each_relation_into_each_other(self, objective, sense):
+    def test_each_relation_into_each_other(self, objective):
         lp = LinearProgram(
             variables=["u", "x", "y", "z"],
             constraints=[
@@ -506,9 +485,7 @@ class TestPatched:
                 Constraint({"u": 7}, "<=", 2, name="d"),
             ],
             objective=objective,
-            sense=sense,
-            lower={"x": 0, "y": F(-1, 3)},
-            upper={"z": F(5, 2), "u": 1},
+            nonnegative=["x", "u"],
         )
         rows = {
             0: ((("u", F(3, 4)), ("x", F(-5, 6))), ">=", F(-2, 9)),
@@ -523,11 +500,9 @@ class TestPatched:
     def test_seeded_patches(self):
         rng = random.Random(13)
         for n in range(30):
-            lp, _, _ = random_bounded_lp(rng, rng.randint(4, 7), rng.randint(1, 4))
+            lp, _, _ = random_nonnegative_free_lp(rng, rng.randint(4, 7), rng.randint(1, 4))
             if n % 2:
-                lp = LinearProgram(
-                    lp.variables, lp.constraints, None, "max", dict(lp.lower), dict(lp.upper)
-                )
+                lp = LinearProgram(lp.variables, lp.constraints, None, lp.nonnegative)
             rows = {}
             for k in rng.sample(range(len(lp.constraints)), rng.randint(1, 4)):
                 names = sorted(rng.sample(lp.variables, rng.randint(1, len(lp.variables))))
@@ -545,15 +520,13 @@ class TestDump:
             variables=["x", "y"],
             constraints=[Constraint({"x": F(3, 4), "y": -1}, "<=", 5, name="cap")],
             objective={"x": 1},
-            sense="max",
-            lower={"x": 0},
-            upper={"y": F(7, 2)},
+            nonnegative=["x"],
         )
         text = dump_lp(lp)
         assert "max: 1 x" in text
         assert "cap: 3/4 x + -1 y <= 5" in text
         assert "bound: x >= 0" in text
-        assert "bound: y <= 7/2" in text
+        assert "bound: y" not in text
 
 
 def _tampered(out):
@@ -587,27 +560,24 @@ def _tampered(out):
 
 
 def _pinned_corpus():
-    """Seeded LPs over every bound kind plus the LPs the box verbs solve."""
+    """Seeded LPs over both variable kinds plus the LPs the box verbs solve."""
     rng = random.Random(41)
     for k in range(60):
-        lp, _, _ = random_bounded_lp(rng, rng.randint(4, 7), rng.randint(1, 4))
+        lp, _, _ = random_nonnegative_free_lp(rng, rng.randint(4, 7), rng.randint(1, 4))
         yield lp
-        lo_var, lo = lp.lower[rng.randrange(len(lp.lower))]
-        extra = Constraint({lo_var: 1}, "<=", lo - F(1, 3))
+        var = lp.nonnegative[rng.randrange(len(lp.nonnegative))]
+        extra = Constraint({var: 1}, "<=", F(-1, 3))
         yield LinearProgram(
             variables=lp.variables,
             constraints=list(lp.constraints) + [extra],
             objective=None if k % 3 == 0 else dict(lp.objective),
-            sense=lp.sense,
-            lower=dict(lp.lower),
-            upper=dict(lp.upper),
+            nonnegative=lp.nonnegative,
         )
         if k % 4 == 0:
             yield LinearProgram(
                 variables=lp.variables,
                 constraints=lp.constraints,
-                lower=dict(lp.lower),
-                upper=dict(lp.upper),
+                nonnegative=lp.nonnegative,
             )
     rng = random.Random(42)
     for _ in range(12):
@@ -637,7 +607,7 @@ def _initial_tableau(lp):
 
 
 class TestPinnedOutcomes:
-    """Bases depend on row scaling, so outcomes are pinned over all bound kinds."""
+    """Bases depend on row scaling, so outcomes are pinned over both variable kinds."""
 
     def test_outcome_and_check_digest(self):
         lines = []
@@ -650,4 +620,4 @@ class TestPinnedOutcomes:
         statuses = {line.split("'")[1] for line in lines if line.startswith("LPOutcome")}
         assert statuses == {"optimal", "infeasible"}
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "cda1ec33d705f136eae875aa619fc172df8e46c6ce28c430670be2140a1c1fe8"
+        assert digest == "88983e7cedfbba6991af9d3655fbfe11bc67d406f0dc2b307bcdafeb963028d8"
