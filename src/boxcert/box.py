@@ -359,15 +359,8 @@ def mix(p, box_a: Box, box_b: Box) -> Box:
     p = as_fraction(p)
     if not 0 <= p <= 1:
         raise WeightOutOfRange(f"mixing weight {p} outside [0, 1]")
-    if (box_a.input_arity, box_a.output_arity) != (box_b.input_arity, box_b.output_arity):
-        raise ShapeMismatch("cannot mix boxes of different shape")
-    a_nums, a_den = box_a.int_view
-    b_nums, b_den = box_b.int_view
-    den = lcm(a_den, b_den)
-    wa = p.numerator * (den // a_den)
-    wb = (p.denominator - p.numerator) * (den // b_den)
-    nums = [wa * u + wb * v for u, v in zip(a_nums, b_nums)]
-    return Box._trusted(box_a.input_arity, box_a.output_arity, nums, p.denominator * den)
+    counts = [p.numerator, p.denominator - p.numerator]
+    return count_combination(counts, p.denominator, [box_a, box_b])
 
 
 def weight_counts(weights) -> tuple[list[int], int]:
@@ -520,8 +513,6 @@ def is_fully_ns(box: Box) -> NSReport:
     """Check every one-sided marginalization (all 2^n - 2 proper subsets)."""
     n = box.party_count
     violations: list[NSViolation] = []
-    if n == 1:
-        return NSReport(True, ())
     for mask in range(1, 2**n - 1):
         keep = tuple(i for i in range(n) if mask >> i & 1)
         violations.extend(_one_sided_violations(box, keep))

@@ -6,8 +6,8 @@ Schema::
 
 with probs flat in the canonical order (input tuples slowest, output
 tuples fastest) and rationals spelled as decimal-integer strings joined
-by "/".  Readers reject negative or non-normalized tables, and JSON
-booleans where integers belong.
+by "/".  Readers reject negative or non-normalized tables, JSON booleans
+where integers belong, and more than ``MAX_PARTIES`` parties.
 """
 
 from __future__ import annotations
@@ -17,6 +17,11 @@ from pathlib import Path
 
 from .box import Box, BoxError, make_box
 from .rational import RationalFormatError, format_rational, parse_rational
+
+# twice the 4 parties of the broadcast cut, the most any verb certifies; the
+# full non-signalling check passes over the table once per proper party
+# subset, 2**n - 2 times, so a few bytes of arity-1 parties could stall it
+MAX_PARTIES = 8
 
 
 class BoxFormatError(BoxError):
@@ -48,6 +53,8 @@ def box_from_dict(data) -> Box:
     raw = data["probs"]
     if type(parties) is not int:
         raise BoxFormatError("parties", "must be an integer")
+    if parties > MAX_PARTIES:
+        raise BoxFormatError("parties", f"{parties} is more than the {MAX_PARTIES} allowed")
     for name, lst in (("inputs", inputs), ("outputs", outputs)):
         if not isinstance(lst, list) or not all(type(v) is int for v in lst):
             raise BoxFormatError(name, "must be a list of integers")

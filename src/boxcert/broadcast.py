@@ -29,7 +29,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
 
 from .box import (
     Box,
@@ -39,6 +38,7 @@ from .box import (
     cell_map,
     cells,
     chsh_game,
+    count_combination,
     is_fully_ns,
     marginal,
     permute_parties,
@@ -326,16 +326,14 @@ def _vertex_orbit_terms() -> tuple[tuple[tuple[str, Fraction], ...], ...]:
     """Per cell orbit, in row order: each vertex orbit's nonzero ``16 * sum`` of member entries.
 
     These ``x-pos`` coefficients do not depend on alpha, so they are built
-    once, by summing the members' integer views over a common denominator.
+    once: an orbit's sum is its size times its members' mean.
     """
     lookup = dict(broadcast_local_vertices())
     sums = []
     for rep, members in _orbits_of_vertices():
-        views = [lookup[m].int_view for m in members]
-        den = lcm(*(d for _, d in views))
-        scaled = ([n * (den // d) for n in nums] for nums, d in views)
-        total = [16 * sum(column) for column in zip(*scaled)]
-        sums.append((f"w:{rep}", total, den))
+        size = len(members)
+        nums, den = count_combination([1] * size, size, [lookup[m] for m in members]).int_view
+        sums.append((f"w:{rep}", [16 * size * n for n in nums], den))
     position = {cell: k for k, cell in enumerate(_CELLS)}
     return tuple(
         tuple((var, F(total[k], den)) for var, total, den in sums if total[k])

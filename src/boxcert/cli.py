@@ -32,7 +32,6 @@ from .certificates import (
 from .chsh import beta, beta_table
 from .polytope import (
     anti_robustness,
-    anti_robustness_closed_form,
     halfspace_body_equality_check,
     hyperplane_locality_check,
 )
@@ -166,19 +165,9 @@ def cmd_twirl(args) -> int:
 
 def cmd_antirobustness(args) -> int:
     box = load_box(args.box)
-    if args.method == "formula":
-        value = anti_robustness_closed_form(box)
-        print(format_rational_short(value))
-        payload = {
-            "kind": "antirobustness-formula",
-            "box": box_to_dict(box),
-            "value": format_rational(value),
-        }
-    else:
-        result = anti_robustness(box)
-        print(format_rational_short(result.value))
-        payload = antirobustness_certificate(box, result)
-    _write_json(args.json, payload)
+    result = anti_robustness(box)
+    print(format_rational_short(result.value))
+    _write_json(args.json, antirobustness_certificate(box, result))
     return 0
 
 
@@ -290,14 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("antirobustness", help="anti-robustness of a fully-NS box")
     p.add_argument("box")
-    p.add_argument(
-        "--method",
-        choices=("lp", "formula"),
-        default="lp",
-        help="lp: the value with an LP certificate, which verify-cert checks against "
-        "the rebuilt LP (for beta* > 2 read off the CHSH facet, without a solve); "
-        "formula: 6/(beta*+4) alone, for beta* >= 2",
-    )
     p.add_argument("--json", help="write the certificate")
     p.set_defaults(func=cmd_antirobustness)
 

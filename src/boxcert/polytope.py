@@ -44,7 +44,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import lcm
-from typing import NamedTuple
 
 from .box import (
     Box,
@@ -97,7 +96,7 @@ def _local_vertex_set(box: Box, cut: Cut | None) -> tuple[tuple[str, Box], ...]:
     if box.is_binary_bipartite():
         if cut is not None and cut != Cut(frozenset({0}), frozenset({1})):
             raise WrongShape(f"unsupported cut {cut} for a 2-party box")
-        return tuple(ns_vertices_2x2()[:16])
+        return local_vertices_2x2()
     if box.input_arity == (2, 2, 2, 2) and box.output_arity == (2, 2, 2, 2):
         if cut is None or cut != BROADCAST_CUT:
             raise WrongShape(
@@ -272,10 +271,13 @@ def anti_robustness(box: Box, cut: Cut | None = None) -> AntiRobustnessResult:
         raise WrongShape("anti-robustness needs a fully non-signalling box")
     points = _local_vertex_set(box, cut)
     lp = anti_robustness_lp(box, points)
-    if box.is_binary_bipartite() and (peak := _chsh_peak(box)).beta > 2:
-        outcome, local_witness, x = _facet_optimum(box, peak, points)
-        weights = named_weights(outcome.witness, points)
-        return AntiRobustnessResult(peak.q, local_witness, x, weights, lp, outcome)
+    if box.is_binary_bipartite():
+        rst, best = max_beta(box)
+        if best > 2:
+            outcome, local_witness, x = _facet_optimum(box, rst, best, points)
+            weights = named_weights(outcome.witness, points)
+            q = outcome.objective_value
+            return AntiRobustnessResult(q, local_witness, x, weights, lp, outcome)
     outcome = solve(lp)
     if outcome.status != "optimal":
         raise RuntimeError(f"anti-robustness LP ended {outcome.status}")
@@ -296,23 +298,10 @@ def anti_robustness_closed_form(box: Box) -> Fraction:
     """
     if not box.is_binary_bipartite():
         raise WrongShape("closed form defined for 2-party binary boxes")
-    peak = _chsh_peak(box)
-    if peak.beta < 2:
-        raise PreconditionNotMet(f"max beta {peak.beta} < 2")
-    return peak.q
-
-
-class _Peak(NamedTuple):
-    """A 2x2 box's largest CHSH value ``beta`` = beta_rst and q = 6/(beta+4)."""
-
-    rst: tuple[int, int, int]
-    beta: Fraction
-    q: Fraction
-
-
-def _chsh_peak(box: Box) -> _Peak:
-    rst, best = max_beta(box)
-    return _Peak(rst, best, F(6) / (best + 4))
+    _, best = max_beta(box)
+    if best < 2:
+        raise PreconditionNotMet(f"max beta {best} < 2")
+    return F(6) / (best + 4)
 
 
 @dataclass(frozen=True)
@@ -406,18 +395,19 @@ def facet_membership(box: Box, r: int, s: int, t: int) -> FacetMembership:
     return FacetMembership(True, weights)
 
 
-def _facet_optimum(box: Box, peak: _Peak, points) -> tuple[LPOutcome, Box, Box]:
+def _facet_optimum(box: Box, rst, best: Fraction, points) -> tuple[LPOutcome, Box, Box]:
     """The anti-robustness LP's optimum for a 2x2 box with beta* > 2, without a solve.
 
-    The admixture X is the anti-PR box of game rst (beta_rst = -4), which
-    puts L = q*box + (1-q)*X on the facet beta_rst = 2, a simplex; so the
-    weights are L's facet weights.  The dual puts y = 2/(beta*+4) on the
+    ``rst, best`` are ``max_beta(box)``, so q = 6/(best+4).  The admixture
+    X is the anti-PR box of game rst (beta_rst = -4), which puts
+    L = q*box + (1-q)*X on the facet beta_rst = 2, a simplex; so the
+    weights are L's facet weights.  The dual puts y = 2/(best+4) on the
     cell rows game rst wins, q on the normalization row, and q - y on the
     bound of each vertex off the facet, which wins one cell, not three.
     Returns the outcome, L and X.
     """
-    r, s, t = peak.rst
-    q = peak.q
+    r, s, t = rst
+    q = F(6) / (best + 4)
     admixed = pr_box(r, s, 1 - t)
     local = mix(q, box, admixed)
     on_facet = facet_membership(local, r, s, t)
@@ -425,7 +415,7 @@ def _facet_optimum(box: Box, peak: _Peak, points) -> tuple[LPOutcome, Box, Box]:
         raise RuntimeError(f"q*box + (1-q)*X is off the facet beta_{r}{s}{t} = 2")
     witness = {"q": q}
     witness.update((f"w:{name}", on_facet.weights.get(name, _ZERO)) for name, _ in points)
-    y = F(2) / (peak.beta + 4)
+    y = F(2) / (best + 4)
     game = chsh_game(r, s, t)
     dual = {("con", k): y for k, won in enumerate(game) if won > 0}
     dual[("con", len(game))] = q
@@ -484,7 +474,6 @@ def ray_points(r: int, s: int, t: int) -> tuple[tuple[str, Box], ...]:
 @dataclass(frozen=True)
 class HalfspaceSample:
     index: int
-    ok: bool
     detail: str
 
 
@@ -568,7 +557,7 @@ def halfspace_body_equality_check(
     draws = halfspace_draws(r, s, t, samples, seed)
     hull_counts = list(islice(draws, samples))
     hull_failures = [
-        HalfspaceSample(k, False, fault)
+        HalfspaceSample(k, fault)
         for k, counts in enumerate(hull_counts)
         if (fault := hull_fault(r, s, t, counts))
     ]
@@ -577,7 +566,7 @@ def halfspace_body_equality_check(
     for k, candidate in enumerate(draws):
         weights = _pyramid_weights(candidate, r, s, t, points)
         if weights is None:
-            half_failures.append(HalfspaceSample(k, False, "no exact decomposition"))
+            half_failures.append(HalfspaceSample(k, "no exact decomposition"))
         half_decompositions.append(weights or {})
     return HalfspaceReport(
         (r, s, t),

@@ -47,19 +47,11 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*parse_ratio(text))
 
 
-def _inexact(value) -> RationalFormatError:
-    return RationalFormatError(f"not an exact rational: {value!r} ({type(value).__name__})")
-
-
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and rational strings; reject floats and booleans."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise _inexact(value)
+    return Fraction(*ratio(value))
 
 
 def ratio(value) -> tuple[int, int]:
@@ -70,7 +62,7 @@ def ratio(value) -> tuple[int, int]:
         return value.numerator, value.denominator
     if isinstance(value, int) and not isinstance(value, bool):
         return value, 1
-    raise _inexact(value)
+    raise RationalFormatError(f"not an exact rational: {value!r} ({type(value).__name__})")
 
 
 def format_rational(q: Fraction) -> str:

@@ -12,6 +12,7 @@ from boxcert.box import (
     MarginalIllDefined,
     NegativeEntry,
     NotNormalized,
+    NSReport,
     ShapeMismatch,
     WeightOutOfRange,
     b_alpha,
@@ -317,6 +318,12 @@ class TestNonSignalling:
         assert not report.fully_ns
         cuts = {v.cut for v in report.violations}
         assert Cut(frozenset({0}), frozenset({1})) in cuts
+
+    def test_one_party_boxes_are_fully_ns(self):
+        # one party has no proper subset of parties, so there is no cut to check
+        box = random_box(rng_from_seed(9), parties=1)
+        assert is_fully_ns(uniform_box(1)) == NSReport(True, ())
+        assert is_fully_ns(box) == NSReport(True, ())
 
     def test_report_flag_consistency(self):
         from boxcert.box import BoxError, NSReport

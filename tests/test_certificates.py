@@ -227,6 +227,13 @@ class TestMalformedInputsRejected:
         ok, errors = verify_certificate(data)
         assert not ok and "BoxFormatError" in errors[0]
 
+    def test_embedded_box_with_too_many_parties(self):
+        data = self.antirobustness_data()
+        data["inputs"]["box"] = {"parties": 9, "inputs": [1] * 9, "outputs": [1] * 9,
+                                 "probs": ["1"]}
+        ok, errors = verify_certificate(data)
+        assert not ok and "BoxFormatError('parties:" in errors[0]
+
     @pytest.mark.parametrize("version", [99, 0, "1", True, None])
     def test_unsupported_format_rejected(self, version):
         data = self.antirobustness_data()
@@ -301,6 +308,48 @@ class TestRenamedRowKeys:
         captured = capsys.readouterr()
         assert "FAILED" in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+
+def _membership_renamed():
+    box = b_alpha(F(3, 4))
+    data = roundtrip(membership_certificate(box, lr_membership(box)))
+    weights = data["result"]["weights"]
+    weights["det_11_01"] = weights.pop("det_00_00")
+    return data
+
+
+def _hyperplane_renamed():
+    data = roundtrip(hyperplane_certificate(hyperplane_locality_check(0, 0, 0)))
+    weights = data["result"]["points"][0]["weights"]
+    weights["det_11_11"] = weights.pop("det_00_00")
+    return data
+
+
+def _halfspace_swapped():
+    report = halfspace_body_equality_check(0, 0, 0, samples=2, seed=1)
+    data = roundtrip(halfspace_certificate(report))
+    weights = data["result"]["half_decompositions"][0]
+    first, second = list(weights)[:2]
+    weights[first], weights[second] = weights[second], weights[first]
+    return data
+
+
+class TestTamperedWeights:
+    """Well-formed weights that rebuild another box fail verify-cert by substitution."""
+
+    @pytest.mark.parametrize(
+        "tampered, message",
+        [
+            (_membership_renamed, "weights do not reconstruct the box"),
+            (_hyperplane_renamed, "det_00_00: membership weights do not reconstruct the point"),
+            (_halfspace_swapped, "halfspace sample 0: weights do not reconstruct the sample"),
+        ],
+    )
+    def test_exits_one(self, tampered, message, tmp_path, capsys):
+        path = tmp_path / "tampered.json"
+        save_certificate(tampered(), path)
+        assert main(["verify-cert", str(path)]) == 1
+        assert f"  {message}\n" in capsys.readouterr().out
 
 
 class TestCutLabel:

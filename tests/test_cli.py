@@ -75,6 +75,7 @@ def assert_one_error_line(capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
 
 
 class TestUnreadableInputExitsTwo:
@@ -99,6 +100,18 @@ class TestUnreadableInputExitsTwo:
     def test_json_output_to_a_directory(self, pr_file, tmp_path, capsys):
         assert main(["validate", pr_file, "--json", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("parties, code", [(8, 0), (9, 2)])
+    def test_party_count_is_bounded(self, tmp_path, capsys, parties, code):
+        # arity-1 parties keep the table at one entry, yet the full
+        # non-signalling check passes over it once per proper party subset
+        data = {"parties": parties, "inputs": [1] * parties, "outputs": [1] * parties,
+                "probs": ["1"]}
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == code
+        if code == 2:
+            assert assert_one_error_line(capsys).startswith("error: parties: ")
 
     def test_scan_alpha_out_of_range_before_any_row(self, capsys):
         assert main(["scan", "--alpha-grid", "7/8:9/8:1/8"]) == 2
@@ -144,13 +157,6 @@ class TestAntiRobustness:
     def test_pr_prints_three_quarters(self, pr_file, capsys):
         assert main(["antirobustness", pr_file]) == 0
         assert capsys.readouterr().out.strip() == "3/4"
-
-    def test_formula_method(self, pr_file, capsys):
-        assert main(["antirobustness", pr_file, "--method", "formula"]) == 0
-        assert capsys.readouterr().out.strip() == "3/4"
-
-    def test_formula_inapplicable_exits_two(self, uniform_file):
-        assert main(["antirobustness", uniform_file, "--method", "formula"]) == 2
 
     def test_certificate_emitted_and_verifiable(self, pr_file, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"
@@ -494,7 +500,6 @@ class TestNoCyclicGarbage:
         calls = [
             ["verify-cert", str(cert)],
             ["antirobustness", pr_file],
-            ["antirobustness", pr_file, "--method", "formula"],
         ]
         for argv in calls:  # one warm call each fills the caches
             assert main(argv) == 0

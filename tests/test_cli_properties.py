@@ -28,7 +28,6 @@ BOX_VERBS = (
     ("beta", "--rst", "101"),
     ("twirl", "--rs", "01"),
     ("antirobustness",),
-    ("antirobustness", "--method", "formula"),
 )
 CERTIFICATE_VERBS = (("verify-cert",),)
 
@@ -117,7 +116,6 @@ _OPTIONS = {
     "--seed": _COUNTS | st.just("12345678901234567890"),
     "--alpha": st.sampled_from(("13/16", "4/5", "3/4", "25/32", "7/8", "1")),
     "--alpha-grid": _GRIDS,
-    "--method": st.sampled_from(("lp", "formula")),
     "--json": st.just("out.json"),
 }
 _BAD_VALUES = {
@@ -127,7 +125,6 @@ _BAD_VALUES = {
     "--seed": _BAD_COUNTS | st.just("-5"),
     "--alpha": st.sampled_from(("1/0", "x", "-1/2", "1/2", "3/2", "0.5")),
     "--alpha-grid": st.sampled_from(_BAD_GRIDS),
-    "--method": st.just("simplex"),
     "--json": st.sampled_from((".", "missing/out.json")),
 }
 # per verb: whether it reads an input file, its required options, its other options
@@ -135,7 +132,7 @@ _VERBS = {
     "validate": (True, (), ("--json",)),
     "beta": (True, (), ("--rst", "--json")),
     "twirl": (True, ("--rs",), ("--json",)),
-    "antirobustness": (True, (), ("--method", "--json")),
+    "antirobustness": (True, (), ("--json",)),
     "hyperplane-check": (False, (), ("--rst", "--samples", "--seed", "--json")),
     "broadcast-check": (False, ("--alpha",), ("--json",)),
     "scan": (False, ("--alpha-grid",), ("--json",)),

@@ -7,6 +7,7 @@ import pytest
 
 from boxcert.box import (
     BoxError,
+    NegativeEntry,
     WrongShape,
     b_alpha,
     chsh_game,
@@ -26,6 +27,7 @@ from boxcert.polytope import (
     BROADCAST_CUT,
     DegenerateRay,
     PreconditionNotMet,
+    admixture,
     anti_robustness,
     anti_robustness_closed_form,
     anti_robustness_lp,
@@ -40,6 +42,7 @@ from boxcert.polytope import (
 )
 from boxcert.ratlp import Constraint, LinearProgram, check_witness, solve
 from boxcert.sampling import (
+    random_box,
     random_ns_box,
     random_ns_box_with_min_beta,
     rng_from_seed,
@@ -210,6 +213,23 @@ class TestAntiRobustness:
         signalling = boxmod.make_box(2, (2, 2), (2, 2), entries)
         with pytest.raises(WrongShape):
             anti_robustness(signalling)
+
+
+class TestAdmixture:
+    """X = (L - q*T)/(1 - q) undoes L = q*T + (1-q)*X for q < 1."""
+
+    @pytest.mark.parametrize("q", [F(1, 3), F(3, 4)])
+    def test_recovers_the_mixed_in_box(self, q):
+        rng = rng_from_seed(44)
+        pairs = [(random_box(rng), random_box(rng)) for _ in range(5)]
+        pairs.append((tensor(pr_box(0, 0, 0), b_alpha(F(7, 8))), uniform_box(4)))
+        for target, x in pairs:
+            assert admixture(mix(q, target, x), q, target) == x
+
+    def test_negative_entry_raises(self):
+        # a deterministic vertex is 0 on cells where the PR box is 1/2
+        with pytest.raises(NegativeEntry):
+            admixture(deterministic_vertices()[0], F(1, 2), pr_box(0, 0, 0))
 
 
 class TestClosedForm:
