@@ -13,7 +13,9 @@ for alpha above 3/4:
   only for alpha <= 4/5.  The projected system is therefore infeasible
   (with an exact Farkas certificate) for alpha > 4/5 and admits the
   boundary witness for alpha in [3/4, 4/5]; it separates alpha = 3/4
-  from the rest only above 4/5.
+  from the rest only above 4/5.  In (3/4, 4/5] that witness is the
+  system's one feasible point, so those verdicts are read off it with no
+  solve; only alpha = 3/4 and alpha > 4/5 run the simplex.
 * ``full_broadcast_feasibility`` — the direct LP over full 4-party
   boxes: a fully-NS copy with both marginals b_alpha whose p_alpha
   mixture with some NS box X lands in the 576-vertex AA'|BB' local
@@ -45,7 +47,7 @@ from .box import (
 )
 from .chsh import parity, subset_correlator
 from .polytope import admixture, mixture
-from .ratlp import Constraint, LinearProgram, LPOutcome, solve
+from .ratlp import Constraint, LazyLP, LinearProgram, LPOutcome, solve
 from .rational import as_fraction
 from .vertices import broadcast_local_vertices
 
@@ -94,11 +96,13 @@ class BroadcastInstance:
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
+    """A feasibility verdict; ``lp`` is built on first read where no solve needed it."""
+
     feasible: bool
     alpha: Fraction
     witness: dict | None
     farkas: dict | None
-    lp: LinearProgram
+    lp: LinearProgram = LazyLP()
     outcome: LPOutcome
 
 
@@ -212,10 +216,53 @@ def projection_lp(instance: BroadcastInstance) -> LinearProgram:
     return _projection_template()._patched(rows)
 
 
+# the projected system is feasible exactly for alpha <= 4/5, the largest alpha whose
+# forced broadcast projection (3a/4, a/4, a/4, 1 - 5a/4) is a distribution
+SEPARATION_THRESHOLD = F(4, 5)
+
+
+def _forced_outcome(instance: BroadcastInstance) -> LPOutcome:
+    """The outcome ``solve(projection_lp(instance))`` returns for 3/4 < alpha <= 4/5, unsolved.
+
+    The system has one feasible point there, so every correct solver
+    returns it.  The S1 rows s1-b (2 L11 - 6 L12 <= 0) and s1-d
+    (6 L11 + 14 L12 <= 6), each times 1/8, add up to L11 + L12 <= 3/4, and
+    only L = (9/16, 3/16), where both are tight, reaches that cap.  Adding
+    link-11 and link-12 and using Bhat-line gives
+    L11 + L12 = p_alpha*alpha + (1 - p_alpha)(X11 + X12)
+              = 3/4 + (1 - p_alpha)(X11 + X12),
+    and 1 - p_alpha > 0 above 3/4.  So the cap is reached and
+    X11 = X12 = 0; link-21 gives X21 = X12 = 0 and X-normalization
+    X22 = 1.  Then L22 = 1/16, link-11 and link-12 give
+    (B11, B12) = (L11, L12)/p_alpha = (3a/4, a/4), and Bhat-normalization
+    leaves B22 = 1 - 5a/4, which is >= 0 exactly up to 4/5.  The witness
+    lists the LP's variables in order; with no objective the value is 0
+    and the dual empty, as ``solve`` gives them.
+    """
+    a = instance.alpha
+    point = (
+        F(9, 16), F(3, 16), F(1, 16),
+        3 * a / 4, a / 4, 1 - 5 * a / 4,
+        _ZERO, _ZERO, _ZERO, _ONE,
+    )
+    return LPOutcome("optimal", dict(zip(_PROJECTION_VARIABLES, point)), _ZERO, {})
+
+
 def projection_feasibility(instance: BroadcastInstance) -> FeasibilityVerdict:
-    """Exact feasibility of the projected broadcast system (fast certificate)."""
-    lp = projection_lp(instance)
-    outcome = solve(lp)
+    """Exact feasibility of the projected broadcast system (fast certificate).
+
+    Feasible verdicts in (3/4, 4/5] are read off the system's one feasible
+    point (``_forced_outcome``), with no solve, and their LP is built only
+    when ``lp`` is read.  Only alpha = 3/4, where p_alpha = 1 leaves X free,
+    and alpha > 4/5, whose Farkas vectors the solver's tie-break picks,
+    run the simplex.  Either way the witness must satisfy every link row.
+    """
+    if F(3, 4) < instance.alpha <= SEPARATION_THRESHOLD:
+        outcome = _forced_outcome(instance)
+        lp = lambda: projection_lp(instance)
+    else:
+        lp = projection_lp(instance)
+        outcome = solve(lp)
     if outcome.status == "optimal":
         w = outcome.witness
         witness = {
@@ -467,9 +514,6 @@ class ScanRow:
     projection: FeasibilityVerdict
     full: FeasibilityVerdict | None
     anti_robustness: Fraction
-
-
-SEPARATION_THRESHOLD = F(4, 5)
 
 
 def _as_expected(alpha: Fraction, projection_feasible: bool, full_feasible: bool | None) -> bool:

@@ -29,8 +29,8 @@ Everything here reduces to exact LPs over named vertex sets:
   anti-robustness optimum (q = 6/(beta*+4), admixture the anti-PR box,
   weights read off the facet) and, when it is fully NS, its membership Farkas
   vector have closed forms, built as the ``LPOutcome`` the solver would
-  return.  Local boxes, signalling boxes' membership and the 4-party cut
-  still solve.
+  return; their LP is built only when the result's ``lp`` is read.  Local
+  boxes, signalling boxes' membership and the 4-party cut still solve.
 
 Per vertex set, the membership and the anti-robustness LP of the all-zero
 table are validated once and cached; a box's LP shares their rows and
@@ -62,7 +62,7 @@ from .box import (
     weight_counts,
 )
 from .chsh import CHSHValue, beta, beta_table, max_beta
-from .ratlp import Constraint, LinearProgram, LPOutcome, solve
+from .ratlp import Constraint, LazyLP, LinearProgram, LPOutcome, solve
 from .sampling import (
     DEFAULT_DENOMINATOR,
     composition,
@@ -196,12 +196,19 @@ def membership_lp(box: Box, points: tuple[tuple[str, Box], ...]) -> LinearProgra
 
 @dataclass(frozen=True)
 class MembershipCertificate:
+    """A membership verdict; ``lp`` is built on first read where no solve needed it.
+
+    ``template``, the all-zero table's membership LP, is built on first
+    read too; it carries ``lp``'s row names.
+    """
+
     member: bool
     weights: dict[str, Fraction] | None
     farkas: dict[tuple, Fraction] | None
     violated_facets: tuple[CHSHValue, ...]
-    lp: LinearProgram
+    lp: LinearProgram = LazyLP()
     outcome: LPOutcome
+    template: LinearProgram = LazyLP()
 
     def separating_functional(self) -> tuple[dict[str, Fraction], Fraction] | None:
         """(cell -> coefficient, threshold) with f(box) > threshold >= f(vertex)."""
@@ -212,7 +219,7 @@ class MembershipCertificate:
         for key, y in self.farkas.items():
             if key[0] != "con":
                 continue
-            con = self.lp.constraints[key[1]]
+            con = self.template.constraints[key[1]]
             if con.name == "normalization":
                 threshold += y
             else:
@@ -224,10 +231,11 @@ def lr_membership(box: Box, cut: Cut | None = None) -> MembershipCertificate:
     """Exact LP membership in the local polytope, with certificate.
 
     A fully NS 2x2 box violating a CHSH facet gets that facet's Farkas
-    vector without a solve; it violates no other.
+    vector without a solve; it violates no other, and its LP is built
+    only when ``lp`` is read.
     """
     points = _local_vertex_set(box, cut)
-    lp = membership_lp(box, points)
+    template = lambda: _template(box, points, anti=False)
     facets: tuple[CHSHValue, ...] = ()
     if box.is_binary_bipartite():
         values, _ = beta_table(box)
@@ -235,21 +243,25 @@ def lr_membership(box: Box, cut: Cut | None = None) -> MembershipCertificate:
     if facets and is_fully_ns(box).fully_ns:
         (v,) = facets
         outcome = LPOutcome("infeasible", farkas=dict(_facet_farkas(v.r, v.s, v.t)))
+        lp = lambda: membership_lp(box, points)
     else:
+        lp = membership_lp(box, points)
         outcome = solve(lp)
     if outcome.status == "optimal":
         weights = named_weights(outcome.witness, points)
-        return MembershipCertificate(True, weights, None, (), lp, outcome)
-    return MembershipCertificate(False, None, outcome.farkas, facets, lp, outcome)
+        return MembershipCertificate(True, weights, None, (), lp, outcome, template)
+    return MembershipCertificate(False, None, outcome.farkas, facets, lp, outcome, template)
 
 
 @dataclass(frozen=True)
 class AntiRobustnessResult:
+    """An anti-robustness optimum; ``lp`` is built on first read where no solve needed it."""
+
     value: Fraction
     local_witness: Box
     admixture_witness: Box
     weights: dict[str, Fraction]
-    lp: LinearProgram
+    lp: LinearProgram = LazyLP()
     outcome: LPOutcome
 
 
@@ -264,20 +276,22 @@ def anti_robustness(box: Box, cut: Cut | None = None) -> AntiRobustnessResult:
     The witness L = q*box + (1-q)*X is returned together with X and the
     convex weights certifying L's membership.  For local boxes q = 1 and
     X is reported as the maximally mixed box.  A 2x2 box with beta* > 2
-    gets the LP's optimum from the CHSH facet, without a solve.
+    gets the LP's optimum from the CHSH facet, without a solve, and its LP
+    is built only when ``lp`` is read.
     """
     report = is_fully_ns(box)
     if not report.fully_ns:
         raise WrongShape("anti-robustness needs a fully non-signalling box")
     points = _local_vertex_set(box, cut)
-    lp = anti_robustness_lp(box, points)
     if box.is_binary_bipartite():
         rst, best = max_beta(box)
         if best > 2:
             outcome, local_witness, x = _facet_optimum(box, rst, best, points)
             weights = named_weights(outcome.witness, points)
             q = outcome.objective_value
+            lp = lambda: anti_robustness_lp(box, points)
             return AntiRobustnessResult(q, local_witness, x, weights, lp, outcome)
+    lp = anti_robustness_lp(box, points)
     outcome = solve(lp)
     if outcome.status != "optimal":
         raise RuntimeError(f"anti-robustness LP ended {outcome.status}")

@@ -44,7 +44,9 @@ LP with some constraints replaced, deriving their integer rows the same
 way and sharing every other row; it checks nothing, so each replacement's
 terms must be nonzero, exact, sorted by variable name and over the LP's
 variables.  The weight LPs in ``polytope`` and ``broadcast.projection_lp``
-patch cached templates this way.
+patch cached templates this way.  A result record whose verdict needed no
+solve declares its ``lp`` field as ``LazyLP()`` and is given a function
+that builds the LP, so it is built only if something reads it.
 """
 
 from __future__ import annotations
@@ -172,6 +174,32 @@ class LinearProgram:
         object.__setattr__(lp, "nonnegative", self.nonnegative)
         object.__setattr__(lp, "int_rows", tuple(int_rows))
         return lp
+
+
+class LazyLP:
+    """A dataclass field holding a ``LinearProgram``, or a function that builds it on first read.
+
+    A result whose verdict needed no solve keeps its LP only for checking
+    by substitution: it is given a zero-argument callable, which is called
+    once, when the field is first read.  Class access raises
+    ``AttributeError``, so the field gets no default.  Assigning after
+    construction still fails on a frozen dataclass.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+        self.slot = "_" + name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            raise AttributeError(self.name)
+        value = instance.__dict__[self.slot]
+        if callable(value):
+            value = instance.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, instance, value):
+        instance.__dict__[self.slot] = value
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -207,17 +208,19 @@ class TestProjectionFeasibility:
         assert edge.witness["broadcast"].p22 == 0
 
     def test_witness_breaking_a_link_row_raises(self, monkeypatch):
-        # a runtime check, not an assert, so that python -O keeps it
+        # a runtime check, not an assert, so that python -O keeps it; 3/4 is
+        # the one feasible alpha that still solves
         def solve_with_a_broken_witness(lp):
             out = ratlp.solve(lp)
-            # X = (0, 0, 0, 1) at 25/32; swapping X11 and X22 keeps it a distribution
+            # L = Bhat = (9/16, 3/16, 3/16, 1/16) at p_alpha = 1; swapping L11 and
+            # L22 keeps L a distribution but breaks L = Bhat
             w = out.witness
-            witness = dict(w, X11=w["X22"], X22=w["X11"])
+            witness = dict(w, L11=w["L22"], L22=w["L11"])
             return ratlp.LPOutcome("optimal", witness, out.objective_value, out.dual)
 
         monkeypatch.setattr(broadcast, "solve", solve_with_a_broken_witness)
         with pytest.raises(RuntimeError, match="link row"):
-            projection_feasibility(BroadcastInstance(F(25, 32)))  # p_alpha = 24/25
+            projection_feasibility(BroadcastInstance(F(3, 4)))
 
     def test_verdict_on_reference_grid(self):
         # the standard scan grid separates cleanly: feasible only at 3/4
@@ -243,6 +246,71 @@ def counting_validating_builds(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", counting_init)
     return calls
+
+
+def _window(alphas):
+    return sorted(a for a in alphas if F(3, 4) < a <= F(4, 5))
+
+
+def _seeded_window_alphas(seed, count):
+    """``count`` random rationals in (3/4, 4/5], denominators up to 10**6."""
+    rng = random.Random(seed)
+    alphas = set()
+    while len(alphas) < count:
+        den = rng.randint(21, 10**6)
+        alphas.add(F(rng.randint(3 * den // 4 + 1, 4 * den // 5), den))
+    return sorted(alphas)
+
+
+class TestForcedWindowOutcome:
+    """Inside (3/4, 4/5] the projected system has one feasible point, read off with no solve."""
+
+    @staticmethod
+    def parts(outcome):
+        return (
+            outcome.status,
+            list(outcome.witness.items()),
+            outcome.objective_value,
+            outcome.dual,
+            outcome.farkas,
+        )
+
+    @pytest.mark.parametrize("alphas", [32, 96, 97, 1000, "seeded"])
+    def test_equals_the_solver_outcome(self, alphas):
+        grid = _seeded_window_alphas(26, 200) if alphas == "seeded" else _window(_grid(alphas))
+        assert grid
+        for alpha in grid:
+            instance = BroadcastInstance(alpha)
+            outcome = projection_feasibility(instance).outcome
+            ref = ratlp.solve(projection_lp(instance))
+            assert self.parts(outcome) == self.parts(ref)
+            assert outcome.dual == {}
+            assert all(type(v) is F for v in outcome.witness.values())
+            assert type(outcome.objective_value) is F
+
+    def test_solves_only_at_three_quarters_and_above_four_fifths(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr(broadcast, "solve", lambda lp: solved.append(lp) or ratlp.solve(lp))
+        for alpha in _window(_grid(32)) + _seeded_window_alphas(27, 20):
+            assert projection_feasibility(BroadcastInstance(alpha)).feasible
+        assert solved == []
+        for count, alpha in enumerate([F(3, 4), F(801, 1000), F(13, 16), F(1)], start=1):
+            projection_feasibility(BroadcastInstance(alpha))
+            assert len(solved) == count
+
+    def test_a_wrong_forced_point_raises(self, monkeypatch):
+        # the link-row check also checks the closed form: here X = (1, 0, 0, 0)
+        # is still a distribution, but link-11 and link-22 no longer hold
+        forced = broadcast._forced_outcome
+
+        def moved(instance):
+            out = forced(instance)
+            w = out.witness
+            return ratlp.LPOutcome("optimal", dict(w, X11=w["X22"], X22=w["X11"]), F(0), {})
+
+        monkeypatch.setattr(broadcast, "_forced_outcome", moved)
+        with pytest.raises(RuntimeError, match="link row"):
+            projection_feasibility(BroadcastInstance(F(25, 32)))
 
 
 class TestProjectionTemplate:

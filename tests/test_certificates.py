@@ -352,6 +352,46 @@ class TestTamperedWeights:
         assert f"  {message}\n" in capsys.readouterr().out
 
 
+class TestDroppedRowsAndMisstatedValues:
+    """A truncated sample list or a wrong stated p_alpha exits 1 with its own message."""
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("hull_weights", "hull sample count mismatch"),
+            ("half_decompositions", "halfspace sample count mismatch"),
+        ],
+    )
+    def test_dropped_sample_row(self, field, message, tmp_path, capsys):
+        path = tmp_path / "hyperplane.json"
+        argv = ["hyperplane-check", "--rst", "000", "--samples", "2", "--json", str(path)]
+        assert main(argv) == 0
+        data = json.loads(path.read_text())
+        assert [item["kind"] for item in data] == ["hyperplane", "halfspace"]
+        del data[1]["result"][field][0]
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify-cert", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "certificate 0 (hyperplane): verified\n"
+            f"certificate 1 (halfspace): FAILED\n  {message}\n"
+        )
+
+    def test_wrong_p_alpha(self, tmp_path, capsys):
+        path = tmp_path / "scan.json"
+        assert main(["scan", "--alpha-grid", "7/8:1:1/8", "--json", str(path)]) == 0
+        data = json.loads(path.read_text())
+        row = data["result"]["rows"][0]
+        assert (row["alpha"], row["p_alpha"]) == ("7/8", "6/7")
+        row["p_alpha"] = "5/7"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify-cert", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "certificate 0 (broadcast): FAILED\n  alpha=7/8: stated p_alpha wrong\n"
+        )
+
+
 class TestCutLabel:
     def test_four_party_membership_certificate_verifies(self):
         k = b_alpha(F(3, 4))

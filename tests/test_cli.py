@@ -346,6 +346,20 @@ class TestPinnedCertificates:
         digest = hashlib.sha256(cert_path.read_bytes()).hexdigest()
         assert digest == self.SAMPLED_HYPERPLANE_DIGESTS[rst]
 
+    # read off the forced point with no solve; both rows are feasible, so not certified
+    WINDOW_DIGESTS = {
+        "4/5": "9c42ff0c9dcea9c155420c454b9da043f79e7ab18a899a9572b3f878a5da4f47",
+        "25/32": "6f55285f323ffa5076a8c072c6c02830c5ec342cfa4c88a49554da4c62ef3e32",
+    }
+
+    @pytest.mark.parametrize("alpha", sorted(WINDOW_DIGESTS))
+    def test_broadcast_check_inside_the_window(self, alpha, tmp_path):
+        cert_path = tmp_path / "broadcast.json"
+        assert main(["broadcast-check", "--alpha", alpha, "--json", str(cert_path)]) == 1
+        digest = hashlib.sha256(cert_path.read_bytes()).hexdigest()
+        assert digest == self.WINDOW_DIGESTS[alpha]
+        assert main(["verify-cert", str(cert_path)]) == 0
+
     def test_scan_across_the_window(self, tmp_path):
         # rows in (3/4, 4/5] are not certified, so the scan exits 1
         cert_path = tmp_path / "scan.json"

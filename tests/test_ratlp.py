@@ -1,13 +1,16 @@
 """Exact simplex: optima, certificates, degeneracy, duality."""
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from boxcert.broadcast import BroadcastInstance, projection_lp
-from boxcert.polytope import anti_robustness_lp, membership_lp
+from boxcert import box, broadcast, polytope
+from boxcert.box import b_alpha, pr_box
+from boxcert.broadcast import BroadcastInstance, projection_feasibility, projection_lp
+from boxcert.polytope import anti_robustness, anti_robustness_lp, lr_membership, membership_lp
 from boxcert.ratlp import (
     Constraint,
     LinearProgram,
@@ -20,7 +23,7 @@ from boxcert.ratlp import (
 )
 from boxcert.sampling import random_ns_box, random_ns_box_with_min_beta, rng_from_seed
 from boxcert.twirl import twirl
-from boxcert.vertices import ns_vertices_2x2
+from boxcert.vertices import local_vertices_2x2, ns_vertices_2x2
 
 F = Fraction
 
@@ -621,3 +624,80 @@ class TestPinnedOutcomes:
         assert statuses == {"optimal", "infeasible"}
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "88983e7cedfbba6991af9d3655fbfe11bc67d406f0dc2b307bcdafeb963028d8"
+
+
+class TestLazyLP:
+    """Results whose verdict needed no solve build their ``lp`` on first read, once."""
+
+    # per kind: the LP-building function's module and name, the verdict, the eager build
+    CASES = {
+        # the CHSH-facet optimum of a non-local 2x2 box
+        "anti_robustness": (
+            polytope, "anti_robustness_lp",
+            anti_robustness,
+            lambda b: anti_robustness_lp(b, local_vertices_2x2()),
+        ),
+        # the CHSH facet's Farkas vector of a fully NS non-local 2x2 box
+        "membership": (
+            polytope, "membership_lp",
+            lr_membership,
+            lambda b: membership_lp(b, local_vertices_2x2()),
+        ),
+        # the forced point of the projected system inside (3/4, 4/5]
+        "projection": (
+            broadcast, "projection_lp",
+            lambda a: projection_feasibility(BroadcastInstance(a)),
+            lambda a: projection_lp(BroadcastInstance(a)),
+        ),
+    }
+    INPUTS = {
+        "anti_robustness": [b_alpha(F(7, 8)), pr_box(1, 0, 1)],
+        "membership": [b_alpha(F(13, 16)), pr_box(0, 1, 1)],
+        "projection": [F(25, 32), F(4, 5), F(79, 100)],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_built_on_first_read_and_equal_to_the_eager_build(self, kind, monkeypatch):
+        module, build, verdict_of, eager_build = self.CASES[kind]
+        calls, validated = [], []
+        real, init = getattr(module, build), box.Box.__post_init__
+        monkeypatch.setattr(module, build, lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(box.Box, "__post_init__", lambda b: validated.append(b) or init(b))
+        for item in self.INPUTS[kind]:
+            calls.clear()
+            result = verdict_of(item)
+            assert calls == []
+            validated.clear()
+            lp = result.lp
+            assert len(calls) == 1 and validated == []  # no validated Box on the way
+            assert result.lp is lp and len(calls) == 1
+            ref = eager_build(item)
+            assert lp == ref
+            assert lp.int_rows == ref.int_rows
+            assert check_witness(lp, result.outcome)
+
+    def test_stays_frozen(self):
+        result = anti_robustness(b_alpha(F(7, 8)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.lp = None
+
+    def test_solved_verdicts_keep_the_lp_they_solved(self, monkeypatch):
+        solved = []
+        for module in (polytope, broadcast):
+            monkeypatch.setattr(module, "solve", lambda lp: solved.append(lp) or solve(lp))
+        local = b_alpha(F(3, 4))
+        results = [
+            anti_robustness(local),
+            lr_membership(local),
+            projection_feasibility(BroadcastInstance(F(3, 4))),
+            projection_feasibility(BroadcastInstance(F(7, 8))),
+        ]
+        assert len(solved) == len(results)
+        assert all(result.lp is lp for result, lp in zip(results, solved))
+
+    def test_separating_functional_reads_the_template(self, monkeypatch):
+        cert = lr_membership(pr_box(0, 0, 0))
+        monkeypatch.setattr(polytope, "membership_lp", None)  # any build would fail
+        functional, threshold = cert.separating_functional()
+        assert threshold == -1
+        assert len(functional) == 16
