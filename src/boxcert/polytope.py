@@ -29,8 +29,13 @@ Everything here reduces to exact LPs over named vertex sets:
   anti-robustness optimum (q = 6/(beta*+4), admixture the anti-PR box,
   weights read off the facet) and, when it is fully NS, its membership Farkas
   vector have closed forms, built as the ``LPOutcome`` the solver would
-  return; their LP is built only when the result's ``lp`` is read.  Local
-  boxes, signalling boxes' membership and the 4-party cut still solve.
+  return; their LP is built only when the result's ``lp`` is read.
+* neither does a local fully NS 2x2 box's membership: by Fine's theorem
+  its local polytope, inside the NS affine hull, is {16 cells >= 0,
+  8 CHSH rows beta_rst <= 2}, so ray shooting over the 16 deterministic
+  vertices decomposes it exactly (``_local_weights``).  Local boxes'
+  anti-robustness, signalling boxes' membership and the 4-party cut
+  still solve.
 
 Per vertex set, the membership and the anti-robustness LP of the all-zero
 table are validated once and cached; a box's LP shares their rows and
@@ -41,9 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 
 from .box import (
     Box,
@@ -61,7 +66,7 @@ from .box import (
     uniform_box,
     weight_counts,
 )
-from .chsh import CHSHValue, beta, beta_table, max_beta
+from .chsh import CHSHValue, beta, beta_numerators, beta_table, max_beta
 from .ratlp import Constraint, LazyLP, LinearProgram, LPOutcome, solve
 from .sampling import (
     DEFAULT_DENOMINATOR,
@@ -230,9 +235,12 @@ class MembershipCertificate:
 def lr_membership(box: Box, cut: Cut | None = None) -> MembershipCertificate:
     """Exact LP membership in the local polytope, with certificate.
 
-    A fully NS 2x2 box violating a CHSH facet gets that facet's Farkas
-    vector without a solve; it violates no other, and its LP is built
-    only when ``lp`` is read.
+    A fully NS 2x2 box needs no solve.  If it violates a CHSH facet, it
+    gets that facet's Farkas vector (it violates no other); otherwise it
+    is local, and ``_local_weights`` decomposes it over the deterministic
+    vertices.  Either way the outcome is the one the solver's checks
+    accept, and the LP is built only when ``lp`` is read.  Signalling
+    boxes and the 4-party cut solve.
     """
     points = _local_vertex_set(box, cut)
     template = lambda: _template(box, points, anti=False)
@@ -240,9 +248,14 @@ def lr_membership(box: Box, cut: Cut | None = None) -> MembershipCertificate:
     if box.is_binary_bipartite():
         values, _ = beta_table(box)
         facets = tuple(v for v in values if v.value > 2)
-    if facets and is_fully_ns(box).fully_ns:
-        (v,) = facets
-        outcome = LPOutcome("infeasible", farkas=dict(_facet_farkas(v.r, v.s, v.t)))
+    if box.is_binary_bipartite() and is_fully_ns(box).fully_ns:
+        if facets:
+            (v,) = facets
+            outcome = LPOutcome("infeasible", farkas=dict(_facet_farkas(v.r, v.s, v.t)))
+        else:
+            local = _local_weights(box)
+            witness = {f"w:{name}": local.get(name, _ZERO) for name, _ in points}
+            outcome = LPOutcome("optimal", witness, _ZERO, {})
         lp = lambda: membership_lp(box, points)
     else:
         lp = membership_lp(box, points)
@@ -251,6 +264,89 @@ def lr_membership(box: Box, cut: Cut | None = None) -> MembershipCertificate:
         weights = named_weights(outcome.witness, points)
         return MembershipCertificate(True, weights, None, (), lp, outcome, template)
     return MembershipCertificate(False, None, outcome.farkas, facets, lp, outcome, template)
+
+
+@cache
+def _vertex_slacks() -> tuple[tuple[str, tuple[int, ...], int, tuple], ...]:
+    """Per deterministic vertex, in ``local_vertices_2x2`` order: name, slacks and support.
+
+    The 24 slacks of a 2x2 box with integer view ``(nums, den)`` are the 16
+    cells ``nums`` and, per game rst in ``beta_numerators`` order, the CHSH
+    row ``2*den - sum(chsh_game(rst) * nums)``.  A vertex's are 0 or 1 on
+    the cells and 0 or 4 on the CHSH rows.  Its support is given twice: as
+    the bit mask of the rows where its slack is positive, and as those
+    rows' ``(index, slack)`` pairs.
+    """
+    table = []
+    for name, vertex in local_vertices_2x2():
+        slacks = _slacks(vertex)
+        support = tuple((i, x) for i, x in enumerate(slacks) if x)
+        table.append((name, slacks, sum(1 << i for i, _ in support), support))
+    return tuple(table)
+
+
+def _slacks(box: Box) -> tuple[int, ...]:
+    """The 24 integer slacks of a 2x2 box, over the denominator of its integer view."""
+    sums, den = beta_numerators(box)
+    return box.int_view[0] + tuple(2 * den - v for v in sums.values())
+
+
+def _local_weights(box: Box) -> dict[str, Fraction]:
+    """A fully NS 2x2 box with every |beta_rst| <= 2 as a mixture of deterministic vertices.
+
+    By Fine's theorem, inside the NS affine hull such boxes form the local
+    polytope {16 cells >= 0, 8 CHSH rows beta_rst <= 2}, whose vertices
+    are the 16 deterministic boxes.  From the current point P, take the
+    first vertex v tight on every row tight at P, so that v lies on P's
+    face.  The ray from v through P leaves that face at
+    Q = v + lambda*(P - v), where one ratio test over the slacks gives
+    lambda > 1, and P = Q/lambda + (1 - 1/lambda)*v.  Q is tight on one
+    more row, so its face is smaller: after at most 8 steps Q is a vertex,
+    and at most 9 vertices carry weight.  Everything is on integers but
+    the weights.  Returns the nonzero weights, name -> weight, in the
+    order the walk met the vertices.  A broken invariant (a negative
+    slack, no vertex on P's face, a ray that does not leave it, more than
+    9 vertices) raises ``RuntimeError``.
+    """
+    point, den = list(_slacks(box)), box.int_view[1]
+    # each weight is counts[name]/scale; mass/scale is what is left for Q
+    counts: dict[str, int] = {}
+    scale = mass = 1
+    for _ in range(9):
+        if min(point) < 0:
+            raise RuntimeError("a slack went negative in the local decomposition")
+        tight = sum(1 << i for i, x in enumerate(point) if not x)
+        vertex = next((v for v in _vertex_slacks() if not tight & v[2]), None)
+        if vertex is None:
+            raise RuntimeError("no deterministic vertex lies on the current face")
+        name, slacks, _, support = vertex
+        # lambda = a/b, the least den*v_i/(den*v_i - p_i) over the rows whose slack
+        # falls along the ray; a row with v_i = 0 cannot fall, as p_i >= 0
+        a = b = 0
+        for i, v in support:
+            dv, p = den * v, point[i]
+            if dv > p and (not a or dv * b < a * (dv - p)):
+                a, b = dv, dv - p
+        if not a:
+            if any(p != den * v for p, v in zip(point, slacks)):
+                raise RuntimeError("the ray through the box does not leave the local polytope")
+            counts[name] = mass
+            return {name: F(c, scale) for name, c in counts.items()}
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        for other in counts:
+            counts[other] *= a
+        counts[name] = mass * (a - b)
+        scale, mass = scale * a, mass * b
+        # Q = (a*P - (a-b)*v)/b, over b*den
+        point = [a * p for p in point]
+        step = (a - b) * den
+        for i, v in support:
+            point[i] -= step * v
+        den *= b
+        g = gcd(den, *point)
+        point, den = [p // g for p in point], den // g
+    raise RuntimeError("the local decomposition needs more than 9 vertices")
 
 
 @dataclass(frozen=True)

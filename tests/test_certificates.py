@@ -1,14 +1,17 @@
 """Certificate serialization and independent re-verification."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import os
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from boxcert.box import b_alpha, pr_box, tensor
+from boxcert import certificates, polytope
+from boxcert.box import b_alpha, mix, pr_box, tensor
 from boxcert.broadcast import ScanReport, broadcast_scan
 from boxcert.cli import main
 from boxcert.certificates import (
@@ -26,6 +29,7 @@ from boxcert.polytope import (
     BROADCAST_CUT,
     anti_robustness,
     halfspace_body_equality_check,
+    halfspace_draws,
     hyperplane_locality_check,
     lr_membership,
 )
@@ -90,8 +94,13 @@ class TestPinnedMembershipCertificates:
     @pytest.mark.parametrize(
         "box, digest",
         [
-            # local: solved, convex weights
+            # local and fully NS: weights from the ray-shooting decomposition, no solve
             (b_alpha(F(3, 4)), "0f516ebc9c155d6c006e55f8945b0d461207203de527f7b161d8801d4f8b3f2f"),
+            # an interior local box (beta* = 7/32), decomposed over 9 vertices
+            (
+                random_ns_box(rng_from_seed(0)),
+                "9b2e9e33264e23d8e8fbfd54fff814928fa01a4bd2d654ff125a09a6eb2f98b7",
+            ),
             # non-local and fully NS: the CHSH facet's Farkas vector, no solve
             (pr_box(0, 0, 0), "9551cddb69e52a2dfcc44453db2f69961d1a27f337980264d2f592e1abaa8ae9"),
             # signalling: solved, Farkas vector
@@ -100,7 +109,7 @@ class TestPinnedMembershipCertificates:
                 "418115ab8fc6f970bc7bef6e0b5f1bbb0b3dd58698f56216545a73ad54885a38",
             ),
         ],
-        ids=["b_alpha(3/4)", "pr_box(0,0,0)", "random_box(seed 3)"],
+        ids=["b_alpha(3/4)", "random_ns_box(seed 0)", "pr_box(0,0,0)", "random_box(seed 3)"],
     )
     def test_sha256(self, box, digest, tmp_path):
         path = tmp_path / "membership.json"
@@ -353,7 +362,7 @@ class TestTamperedWeights:
 
 
 class TestDroppedRowsAndMisstatedValues:
-    """A truncated sample list or a wrong stated p_alpha exits 1 with its own message."""
+    """A truncated or emptied sample list or a wrong stated p_alpha exits 1 with its own message."""
 
     @pytest.mark.parametrize(
         "field, message",
@@ -377,6 +386,24 @@ class TestDroppedRowsAndMisstatedValues:
             f"certificate 1 (halfspace): FAILED\n  {message}\n"
         )
 
+    def test_emptied_decomposition(self, tmp_path, capsys):
+        # an empty map is what the builder writes for a sample it cannot decompose
+        path = tmp_path / "hyperplane.json"
+        argv = ["hyperplane-check", "--rst", "000", "--samples", "2", "--seed", "1"]
+        assert main(argv + ["--json", str(path)]) == 0
+        data = json.loads(path.read_text())
+        result = data[1]["result"]
+        assert all(result["half_decompositions"]) and result["all_pass"] is True
+        result["half_decompositions"][0] = {}
+        result["all_pass"] = False
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify-cert", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "certificate 0 (hyperplane): verified\n"
+            "certificate 1 (halfspace): FAILED\n  halfspace sample 0: missing decomposition\n"
+        )
+
     def test_wrong_p_alpha(self, tmp_path, capsys):
         path = tmp_path / "scan.json"
         assert main(["scan", "--alpha-grid", "7/8:1:1/8", "--json", str(path)]) == 0
@@ -389,6 +416,42 @@ class TestDroppedRowsAndMisstatedValues:
         assert main(["verify-cert", str(path)]) == 1
         assert capsys.readouterr().out == (
             "certificate 0 (broadcast): FAILED\n  alpha=7/8: stated p_alpha wrong\n"
+        )
+
+
+class TestChecksOnTheVerifiersOwnTables:
+    """Checks of values the verifier computes itself, reached by patching its tables."""
+
+    def test_ray_point_off_the_local_polytope(self, monkeypatch):
+        rays = polytope._ray_table(0, 0, 0)
+        # halfway to the apex: beta_000 = 3, so the point violates that CHSH facet
+        bad = dataclasses.replace(rays[0], point=mix(F(1, 2), pr_box(0, 0, 0), rays[0].point))
+        table = lambda r, s, t: (bad,) + rays[1:]
+        monkeypatch.setattr(polytope, "_ray_table", table)
+        monkeypatch.setattr(certificates, "_ray_table", table)
+        data = roundtrip(hyperplane_certificate(hyperplane_locality_check(0, 0, 0)))
+        name = bad.vertex_name
+        assert verify_certificate(data) == (
+            False,
+            [
+                f"{name}: point violates a CHSH facet",
+                f"{name}: certificate does not claim membership",
+            ],
+        )
+
+    def test_hull_sample_with_a_fault(self, monkeypatch):
+        data = roundtrip(halfspace_certificate(halfspace_body_equality_check(0, 0, 0, 2, 1)))
+        assert verify_certificate(data) == (True, [])
+        second = list(islice(halfspace_draws(0, 0, 0, 2, 1), 2))[1]
+        real = certificates.hull_fault
+        monkeypatch.setattr(
+            certificates,
+            "hull_fault",
+            lambda r, s, t, counts: "not fully NS" if counts == second else real(r, s, t, counts),
+        )
+        assert verify_certificate(data) == (
+            False,
+            ["hull sample 1: not fully NS", "stated all_pass disagrees with the verified checks"],
         )
 
 

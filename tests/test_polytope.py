@@ -425,16 +425,17 @@ class TestFacetClosedForms:
         assert anti_robustness(b_alpha(F(7, 8))).admixture_witness is pr_box(0, 0, 1)
         assert anti_robustness(b_alpha(F(3, 4))).admixture_witness is uniform_box(2)
 
-    def test_local_boxes_and_signalling_membership_still_solve(self, monkeypatch):
+    def test_local_anti_robustness_and_signalling_membership_still_solve(self, monkeypatch):
         calls = counting_solver(monkeypatch)
         anti_robustness(b_alpha(F(3, 4)))
+        assert len(calls) == 1
         lr_membership(b_alpha(F(3, 4)))
-        assert len(calls) == 2
+        assert len(calls) == 1
         # game 000 won on every input pair, but at y = 1 Bob's output follows x
         signalling = make_box(2, (2, 2), (2, 2), (1, 0, 0, 0) * 3 + (0, 1, 0, 0))
         assert beta(signalling, 0, 0, 0) == 4 and not is_fully_ns(signalling).fully_ns
         cert = lr_membership(signalling)
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert not cert.member and check_witness(cert.lp, cert.outcome)
 
     def test_an_off_facet_witness_is_an_internal_error(self, monkeypatch):
@@ -469,6 +470,76 @@ class TestFacetClosedForms:
         assert len(off_facet) == 8
         bounds = {key[1].removeprefix("w:"): y for key, y in dual.items() if key[0] == "lb"}
         assert bounds == dict.fromkeys(off_facet, F(4, 7))
+
+
+def local_corpus():
+    """Local fully NS 2x2 boxes: draws, the local part of the line, vertices and midpoints."""
+    rng = rng_from_seed(0)
+    vertices = [box for _, box in POINTS_2X2]
+    return {
+        "draws": [random_ns_box(rng) for _ in range(400)],
+        "line": [b_alpha(F(k, 96)) for k in range(24, 73)],
+        "vertices": vertices,
+        "midpoints": [mix(F(1, 2), a, b) for a, b in itertools.combinations(vertices, 2)],
+    }
+
+
+class TestLocalDecomposition:
+    """Local fully NS 2x2 boxes decompose over the deterministic vertices with no solve."""
+
+    def test_corpus_sizes(self):
+        corpus = local_corpus()
+        assert {name: len(boxes) for name, boxes in corpus.items()} == {
+            "draws": 400, "line": 49, "vertices": 16, "midpoints": 120,
+        }
+        assert all(beta_table(box)[1] for boxes in corpus.values() for box in boxes)
+
+    @pytest.mark.parametrize("part", ["draws", "line", "vertices", "midpoints"])
+    def test_weights_rebuild_the_box_and_pass_check_witness(self, part, monkeypatch):
+        calls = counting_solver(monkeypatch)
+        for box in local_corpus()[part]:
+            cert = lr_membership(box)
+            assert cert.member and cert.farkas is None and cert.violated_facets == ()
+            assert check_witness(cert.lp, cert.outcome)
+            assert 1 <= len(cert.weights) <= 9 and all(w > 0 for w in cert.weights.values())
+            assert polytope.mixture(cert.weights, POINTS_2X2) == box
+        assert calls == []
+
+    def test_outcome_has_the_solvers_feasibility_form(self):
+        box = b_alpha(F(3, 4))
+        outcome = lr_membership(box).outcome
+        expected = solve(membership_lp(box, POINTS_2X2))
+        assert outcome == expected
+        assert list(outcome.witness) == [f"w:{name}" for name, _ in POINTS_2X2]
+        assert (outcome.objective_value, outcome.dual) == (0, {})
+
+    def test_an_interior_draw_takes_nine_vertices(self):
+        box = random_ns_box(rng_from_seed(0))
+        assert max_beta(box)[1] == F(7, 32)
+        assert len(lr_membership(box).weights) == 9
+
+    def test_a_vertex_is_its_own_decomposition(self):
+        for name, vertex in POINTS_2X2:
+            assert polytope._local_weights(vertex) == {name: 1}
+
+    def test_a_non_local_box_breaks_an_invariant(self):
+        with pytest.raises(RuntimeError, match="negative"):
+            polytope._local_weights(pr_box(0, 0, 0))
+
+    def test_no_vertex_on_the_face_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(polytope, "_vertex_slacks", lambda: ())
+        with pytest.raises(RuntimeError, match="no deterministic vertex"):
+            lr_membership(b_alpha(F(3, 4)))
+
+    def test_signalling_box_still_gets_a_farkas_vector(self, monkeypatch):
+        calls = counting_solver(monkeypatch)
+        # every CHSH value within [-2, 2], yet Bob's output is Alice's input
+        signalling = make_box(2, (2, 2), (2, 2), (1, 0, 0, 0) * 2 + (0, 1, 0, 0) * 2)
+        assert beta_table(signalling)[1] and not is_fully_ns(signalling).fully_ns
+        cert = lr_membership(signalling)
+        assert len(calls) == 1
+        assert not cert.member and cert.farkas and cert.lp is calls[0]
+        assert check_witness(cert.lp, cert.outcome)
 
 
 def reference_rays(r, s, t):

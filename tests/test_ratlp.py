@@ -637,7 +637,8 @@ class TestLazyLP:
             anti_robustness,
             lambda b: anti_robustness_lp(b, local_vertices_2x2()),
         ),
-        # the CHSH facet's Farkas vector of a fully NS non-local 2x2 box
+        # a fully NS 2x2 box: the CHSH facet's Farkas vector of a non-local
+        # one, the deterministic-vertex decomposition of a local one
         "membership": (
             polytope, "membership_lp",
             lr_membership,
@@ -652,7 +653,13 @@ class TestLazyLP:
     }
     INPUTS = {
         "anti_robustness": [b_alpha(F(7, 8)), pr_box(1, 0, 1)],
-        "membership": [b_alpha(F(13, 16)), pr_box(0, 1, 1)],
+        "membership": [
+            b_alpha(F(13, 16)),
+            pr_box(0, 1, 1),
+            b_alpha(F(3, 4)),
+            b_alpha(F(1, 2)),
+            random_ns_box(rng_from_seed(0)),
+        ],
         "projection": [F(25, 32), F(4, 5), F(79, 100)],
     }
 
@@ -685,10 +692,8 @@ class TestLazyLP:
         solved = []
         for module in (polytope, broadcast):
             monkeypatch.setattr(module, "solve", lambda lp: solved.append(lp) or solve(lp))
-        local = b_alpha(F(3, 4))
         results = [
-            anti_robustness(local),
-            lr_membership(local),
+            anti_robustness(b_alpha(F(3, 4))),
             projection_feasibility(BroadcastInstance(F(3, 4))),
             projection_feasibility(BroadcastInstance(F(7, 8))),
         ]
